@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/ptt.hpp"
@@ -136,6 +137,11 @@ struct PolicyOptions {
   bool random_tie_break = false;           ///< default: round-robin
 };
 
+/// Who folds observed spans into the PTT. kConcurrent: any worker may
+/// finish any task (rt), so Ptt::update's CAS loop. kSingle: one thread
+/// owns the table (the DES owns each rank's PTT), so Ptt::update_st.
+enum class PttWriters : std::uint8_t { kConcurrent, kSingle };
+
 class PolicyEngine {
  public:
   /// `ptt` may be null only for policies with traits().uses_ptt == false.
@@ -156,6 +162,9 @@ class PolicyEngine {
 
   /// Folds an observed task span into the model (no-op for RWS / FA).
   void record_sample(TaskTypeId type, const ExecutionPlace& place, double seconds);
+  /// record_sample for an engine whose PTT only the calling thread writes.
+  void record_sample_st(TaskTypeId type, const ExecutionPlace& place,
+                        double seconds);
 
   // --- static-dispatch twins -------------------------------------------------
   // Same three hooks with the policy resolved at compile time: the per-call
@@ -172,19 +181,45 @@ class PolicyEngine {
                                int waking_core);
   template <Policy P>
   ExecutionPlace on_execute_static(TaskTypeId type, Priority priority, int core);
-  template <Policy P>
+  template <Policy P, PttWriters W = PttWriters::kConcurrent>
   void record_sample_static(TaskTypeId type, const ExecutionPlace& place,
                             double seconds);
 
   // Exposed for tests and analysis ------------------------------------------
   enum class Objective { kCost, kTime };
   /// The min-search of Algorithm 1 over an explicit candidate set, with the
-  /// zero-entry exploration semantics and fewest-samples tie-breaking.
+  /// zero-entry exploration semantics and fewest-samples tie-breaking. The
+  /// hooks search precomputed candidate tables with the same kernel; this
+  /// wrapper translates `candidates` first (and allocates to do so).
   ExecutionPlace search(TaskTypeId type,
                         const std::vector<ExecutionPlace>& candidates,
                         Objective objective);
+  /// Tie-break state the searches have consumed: the round-robin counter
+  /// and the random stream's position (options().random_tie_break).
+  struct TieState {
+    std::uint32_t round_robin;
+    std::uint64_t random;
+  };
+  TieState tie_state() const;
 
  private:
+  /// One candidate of a search: the place's entry slot, the same in every
+  /// Ptt of the store (the layout depends only on the topology), and its
+  /// width for the cost objective.
+  struct Candidate {
+    std::int32_t slot;
+    std::int32_t width;
+  };
+
+  /// The search kernel: index into `cands` of the minimum. No allocation,
+  /// no per-candidate place lookup.
+  std::size_t search_index(const Ptt& table, std::span<const Candidate> cands,
+                           Objective objective);
+  /// Global search over every place (DAM-C / DAM-P).
+  ExecutionPlace global_search(TaskTypeId type, Objective objective);
+  /// Global search over the width-1 places (DA).
+  ExecutionPlace width1_search(TaskTypeId type);
+  /// Local width search at `core` (every moldable on_execute, FAM-C).
   ExecutionPlace local_search(TaskTypeId type, int core);
   int round_robin_fast_core();
   ExecutionPlace dheft_place(TaskTypeId type);
@@ -197,8 +232,14 @@ class PolicyEngine {
   const Topology* topo_;
   PttStore* ptt_;
   PolicyOptions options_;
-  std::vector<ExecutionPlace> fast_cluster_places_;  // FAM-C candidate set
-  std::vector<int> fast_cores_;                      // FA round-robin targets
+  // FA / FAM-C round-robin targets: the fastest cluster's cores.
+  int fast_first_core_ = 0;
+  int fast_num_cores_ = 1;
+  // Candidate tables of the PTT policies, in one array parallel to the
+  // topology's place lists: [places() | width1_places() | local_places(c)
+  // of every core c, local_stride_ entries each]. Null for RWS / FA.
+  std::unique_ptr<Candidate[]> candidates_;
+  int local_stride_ = 0;
   std::atomic<std::uint32_t> rr_counter_{0};
   std::atomic<std::uint32_t> tie_counter_{0};
   std::atomic<std::uint64_t> rng_state_;             // splitmix for random ties
@@ -249,22 +290,20 @@ inline WakeDecision PolicyEngine::on_ready_static(TaskTypeId type,
       // that is what keeps half the criticals on a perturbed fast core in
       // the paper's Fig. 5(d) (35% (C0,1) / 48% (C1,1) / 17% (C0,2)).
       const int core = round_robin_fast_core();
-      const ExecutionPlace p =
-          search(type, topo_->local_places(core), Objective::kCost);
+      const ExecutionPlace p = local_search(type, core);
       return WakeDecision{p.leader, !exempt, true, p};
     } else if constexpr (P == Policy::kDa) {
       // Global search over single cores for the best predicted time.
-      const ExecutionPlace p =
-          search(type, topo_->width1_places(), Objective::kTime);
+      const ExecutionPlace p = width1_search(type);
       return WakeDecision{p.leader, !exempt, true, p};
     } else if constexpr (P == Policy::kDamC) {
       // Global search minimising PTT(c,w) * w (Algorithm 1, line 8).
-      const ExecutionPlace p = search(type, topo_->places(), Objective::kCost);
+      const ExecutionPlace p = global_search(type, Objective::kCost);
       return WakeDecision{p.leader, !exempt, true, p};
     } else {
       static_assert(P == Policy::kDamP, "unhandled priority-aware policy");
       // Global search minimising PTT(c,w) (Algorithm 1, line 11).
-      const ExecutionPlace p = search(type, topo_->places(), Objective::kTime);
+      const ExecutionPlace p = global_search(type, Objective::kTime);
       return WakeDecision{p.leader, !exempt, true, p};
     }
   }
@@ -285,7 +324,7 @@ inline ExecutionPlace PolicyEngine::on_execute_static(TaskTypeId type,
   }
 }
 
-template <Policy P>
+template <Policy P, PttWriters W>
 inline void PolicyEngine::record_sample_static(TaskTypeId type,
                                                const ExecutionPlace& place,
                                                double seconds) {
@@ -294,7 +333,10 @@ inline void PolicyEngine::record_sample_static(TaskTypeId type,
     (void)place;
     (void)seconds;
   } else {
-    ptt_->table(type).update(place, seconds);
+    if constexpr (W == PttWriters::kSingle)
+      ptt_->table(type).update_st(place, seconds);
+    else
+      ptt_->table(type).update(place, seconds);
     if constexpr (P == Policy::kDheft) dheft_drain(place, seconds);
   }
 }
@@ -319,6 +361,10 @@ struct DynamicPolicyHooks {
                             const ExecutionPlace& place, double seconds) {
     pe.record_sample(type, place, seconds);
   }
+  static void record_sample_st(PolicyEngine& pe, TaskTypeId type,
+                               const ExecutionPlace& place, double seconds) {
+    pe.record_sample_st(type, place, seconds);
+  }
 };
 
 template <class Tag>
@@ -336,6 +382,10 @@ struct StaticPolicyHooks {
   static void record_sample(PolicyEngine& pe, TaskTypeId type,
                             const ExecutionPlace& place, double seconds) {
     pe.record_sample_static<kPolicy>(type, place, seconds);
+  }
+  static void record_sample_st(PolicyEngine& pe, TaskTypeId type,
+                               const ExecutionPlace& place, double seconds) {
+    pe.record_sample_static<kPolicy, PttWriters::kSingle>(type, place, seconds);
   }
 };
 

@@ -5,6 +5,21 @@
 
 namespace das {
 
+namespace {
+
+// The smoothing step both writers share, so they cannot drift apart.
+double fold(std::uint64_t prior, double old_v, double sample_s,
+            UpdateRatio ratio) {
+  const double num = static_cast<double>(ratio.num);
+  const double den = static_cast<double>(ratio.den);
+  // The very first measurement seeds the entry verbatim: averaging a real
+  // sample against the sentinel 0 would underestimate by (den-num)/den and
+  // take several rounds to recover.
+  return prior == 0 ? sample_s : ((den - num) * old_v + num * sample_s) / den;
+}
+
+}  // namespace
+
 Ptt::Ptt(const Topology& topo, UpdateRatio ratio) : topo_(&topo), ratio_(ratio) {
   DAS_CHECK_MSG(ratio_.den > 0 && ratio_.num > 0 && ratio_.num <= ratio_.den,
                 "update ratio must satisfy 0 < num <= den");
@@ -51,20 +66,28 @@ void Ptt::update(int place_id, double sample_s) {
   Entry& e =
       entries_[static_cast<std::size_t>(slot_of_place_[static_cast<std::size_t>(place_id)])];
 
+  // Relaxed: an entry is a self-contained statistic that publishes no other
+  // data, so readers only need untorn values.
   const std::uint64_t prior = e.samples.fetch_add(1, std::memory_order_relaxed);
-  const double num = static_cast<double>(ratio_.num);
-  const double den = static_cast<double>(ratio_.den);
-
   double old_v = e.value.load(std::memory_order_relaxed);
-  for (;;) {
-    // The very first measurement seeds the entry verbatim: averaging a real
-    // sample against the sentinel 0 would underestimate by (den-num)/den and
-    // take several rounds to recover.
-    const double new_v =
-        prior == 0 ? sample_s : ((den - num) * old_v + num * sample_s) / den;
-    if (e.value.compare_exchange_weak(old_v, new_v, std::memory_order_relaxed))
-      return;
+  while (!e.value.compare_exchange_weak(
+      old_v, fold(prior, old_v, sample_s, ratio_), std::memory_order_relaxed)) {
   }
+}
+
+void Ptt::update_st(int place_id, double sample_s) {
+  DAS_CHECK(place_id >= 0 && place_id < topo_->num_places());
+  DAS_CHECK_MSG(sample_s >= 0.0, "negative execution time");
+  Entry& e = entries_[static_cast<std::size_t>(
+      slot_of_place_[static_cast<std::size_t>(place_id)])];
+
+  // Single writer: nobody else stores to this entry, so load + store cannot
+  // lose an update. Relaxed for the same reason as in update().
+  const std::uint64_t prior = e.samples.load(std::memory_order_relaxed);
+  e.samples.store(prior + 1, std::memory_order_relaxed);
+  const double old_v = e.value.load(std::memory_order_relaxed);
+  e.value.store(fold(prior, old_v, sample_s, ratio_),
+                std::memory_order_relaxed);
 }
 
 void Ptt::fill(double value_s) {
@@ -82,16 +105,6 @@ PttStore::PttStore(const Topology& topo, int num_types, UpdateRatio ratio)
   tables_.reserve(static_cast<std::size_t>(num_types));
   for (int i = 0; i < num_types; ++i)
     tables_.push_back(std::make_unique<Ptt>(topo, ratio));
-}
-
-Ptt& PttStore::table(TaskTypeId id) {
-  DAS_CHECK(id >= 0 && id < num_types());
-  return *tables_[static_cast<std::size_t>(id)];
-}
-
-const Ptt& PttStore::table(TaskTypeId id) const {
-  DAS_CHECK(id >= 0 && id < num_types());
-  return *tables_[static_cast<std::size_t>(id)];
 }
 
 }  // namespace das

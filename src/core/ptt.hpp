@@ -26,6 +26,7 @@
 
 #include "core/task_type.hpp"
 #include "platform/topology.hpp"
+#include "util/assert.hpp"
 
 namespace das {
 
@@ -55,6 +56,15 @@ class Ptt {
   void update(int place_id, double sample_s);
   void update(const ExecutionPlace& p, double s) { update(topo_->place_id(p), s); }
 
+  /// update() for a table only one thread ever writes (the DES: one thread
+  /// owns a rank's PTT): the same arithmetic, done as plain loads and
+  /// stores instead of fetch_add and a CAS loop. Concurrent readers still
+  /// see whole values.
+  void update_st(int place_id, double sample_s);
+  void update_st(const ExecutionPlace& p, double s) {
+    update_st(topo_->place_id(p), s);
+  }
+
   /// Overwrites every entry (used by tests and the optimistic-init ablation).
   void fill(double value_s);
 
@@ -62,6 +72,10 @@ class Ptt {
   UpdateRatio ratio() const { return ratio_; }
 
  private:
+  // PolicyEngine's search reads entries by slot through precomputed
+  // candidate tables (core/policy.cpp), skipping the per-place lookups.
+  friend class PolicyEngine;
+
   struct Entry {
     std::atomic<double> value{0.0};
     std::atomic<std::uint64_t> samples{0};
@@ -80,8 +94,15 @@ class PttStore {
  public:
   PttStore(const Topology& topo, int num_types, UpdateRatio ratio = {});
 
-  Ptt& table(TaskTypeId id);
-  const Ptt& table(TaskTypeId id) const;
+  // Inline: every search and every PTT update resolves its table here.
+  Ptt& table(TaskTypeId id) {
+    DAS_CHECK(id >= 0 && id < num_types());
+    return *tables_[static_cast<std::size_t>(id)];
+  }
+  const Ptt& table(TaskTypeId id) const {
+    DAS_CHECK(id >= 0 && id < num_types());
+    return *tables_[static_cast<std::size_t>(id)];
+  }
   int num_types() const { return static_cast<int>(tables_.size()); }
   UpdateRatio ratio() const { return ratio_; }
 

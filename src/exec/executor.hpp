@@ -630,6 +630,14 @@ std::unique_ptr<Executor> make_executor(Backend backend, const Topology& topo,
                                         Policy policy,
                                         const TaskTypeRegistry& registry,
                                         ExecutorConfig config = {});
+/// The executor keeps pointers to the topology and the registry, so a
+/// temporary would dangle: pass objects that outlive the executor.
+std::unique_ptr<Executor> make_executor(Backend, Topology&&, Policy,
+                                        const TaskTypeRegistry&,
+                                        ExecutorConfig = {}) = delete;
+std::unique_ptr<Executor> make_executor(Backend, const Topology&, Policy,
+                                        TaskTypeRegistry&&,
+                                        ExecutorConfig = {}) = delete;
 
 /// Multi-domain factory (the distributed experiments): one RankSpec per
 /// scheduling domain. Backend::kRt accepts exactly one rank (the real
@@ -640,5 +648,8 @@ std::unique_ptr<Executor> make_executor(Backend backend,
                                         Policy policy,
                                         const TaskTypeRegistry& registry,
                                         ExecutorConfig config = {});
+std::unique_ptr<Executor> make_executor(Backend, std::vector<sim::RankSpec>,
+                                        Policy, TaskTypeRegistry&&,
+                                        ExecutorConfig = {}) = delete;
 
 }  // namespace das

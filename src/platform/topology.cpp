@@ -104,11 +104,6 @@ int Topology::leader_for(int core, int width) const {
   return c.first_core + (offset / width) * width;
 }
 
-const std::vector<ExecutionPlace>& Topology::local_places(int core) const {
-  DAS_CHECK(core >= 0 && core < num_cores_);
-  return local_[core];
-}
-
 // --- Presets ---------------------------------------------------------------
 
 Topology Topology::tx2() {

@@ -116,7 +116,10 @@ class Topology {
   int leader_for(int core, int width) const;
   /// The candidate places of a *local search* from `core` (paper Alg. 1
   /// line 4): one place per valid cluster width, leader = align-down(core).
-  const std::vector<ExecutionPlace>& local_places(int core) const;
+  const std::vector<ExecutionPlace>& local_places(int core) const {
+    DAS_CHECK(core >= 0 && core < num_cores_);
+    return local_[static_cast<std::size_t>(core)];
+  }
   /// Width-1 places of every core (used by the DA policy's global search).
   const std::vector<ExecutionPlace>& width1_places() const { return width1_places_; }
 

@@ -108,6 +108,10 @@ class Runtime {
  public:
   Runtime(const Topology& topo, Policy policy, const TaskTypeRegistry& registry,
           RtOptions options = {});
+  // The runtime keeps pointers to the topology and the registry, so a
+  // temporary would dangle.
+  Runtime(Topology&&, Policy, const TaskTypeRegistry&, RtOptions = {}) = delete;
+  Runtime(const Topology&, Policy, TaskTypeRegistry&&, RtOptions = {}) = delete;
   ~Runtime();
 
   Runtime(const Runtime&) = delete;

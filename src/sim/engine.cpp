@@ -951,8 +951,11 @@ void SimEngine::handle_done_t(Shard& sh, const Event& e, double t) {
     // core observes — NOT the assembly span: the span includes arrival skew
     // (participants queueing behind other work), which would make wide
     // places look slow for reasons that have nothing to do with the place.
+    // Single-writer update: this thread alone steps the rank, so it alone
+    // writes the rank's PTT.
     const double span = t - ts.first_arrival;
-    Mode::PolicyHooks::record_sample(*r.policy, n.type, ts.place, ts.max_cost);
+    Mode::PolicyHooks::record_sample_st(*r.policy, n.type, ts.place,
+                                        ts.max_cost);
     const int place_id = r.topo->place_id(ts.place);
     r.stats->record_task_at_st(n.priority, place_id, span, n.phase);
     ts.completion = t;

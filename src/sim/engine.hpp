@@ -158,6 +158,16 @@ class SimEngine {
   SimEngine(const Topology& topo, Policy policy, const TaskTypeRegistry& registry,
             SimOptions options = {}, const SpeedScenario* scenario = nullptr,
             const FaultPlan* faults = nullptr);
+  // The engine keeps pointers to the topology and the registry, so a
+  // temporary would dangle.
+  SimEngine(std::vector<RankSpec>, Policy, TaskTypeRegistry&&,
+            SimOptions = {}) = delete;
+  SimEngine(Topology&&, Policy, const TaskTypeRegistry&, SimOptions = {},
+            const SpeedScenario* = nullptr,
+            const FaultPlan* = nullptr) = delete;
+  SimEngine(const Topology&, Policy, TaskTypeRegistry&&, SimOptions = {},
+            const SpeedScenario* = nullptr,
+            const FaultPlan* = nullptr) = delete;
 
   SimEngine(const SimEngine&) = delete;
   SimEngine& operator=(const SimEngine&) = delete;

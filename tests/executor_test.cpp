@@ -1,18 +1,62 @@
 // Tests for the das::Executor facade: the backend/policy string registries
 // round-trip over every Table-1 name, the same DAG runs to completion on
 // both backends through make_executor with consistent RunResult / stats
-// shapes, the multi-rank factory works, and the unified seed default holds.
+// shapes, the multi-rank factory works, the unified seed default holds, and
+// the factories reject a temporary topology or registry at compile time.
 
 #include <gtest/gtest.h>
+
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "exec/executor.hpp"
 #include "kernels/registry.hpp"
 #include "platform/affinity.hpp"
 #include "rt/runtime.hpp"
+#include "sim/engine.hpp"
 #include "workloads/synthetic_dag.hpp"
 
 namespace das {
 namespace {
+
+// The executor, the DES and the runtime keep pointers to the topology and
+// the registry, so the factories must refuse temporaries (a temporary
+// Topology::tx2() used to dangle and abort at the first place lookup).
+template <class Topo, class Registry>
+concept MakeExecutorAccepts = requires(Topo&& topo, Registry&& registry) {
+  make_executor(Backend::kSim, std::forward<Topo>(topo), Policy::kDamC,
+                std::forward<Registry>(registry));
+};
+static_assert(MakeExecutorAccepts<Topology&, TaskTypeRegistry&>);
+static_assert(MakeExecutorAccepts<const Topology&, const TaskTypeRegistry&>);
+static_assert(!MakeExecutorAccepts<Topology, TaskTypeRegistry&>);
+static_assert(!MakeExecutorAccepts<Topology, TaskTypeRegistry>);
+static_assert(!MakeExecutorAccepts<Topology&, TaskTypeRegistry>);
+
+template <class Registry>
+concept MakeMultiRankExecutorAccepts = requires(Registry&& registry) {
+  make_executor(Backend::kSim, std::vector<sim::RankSpec>{}, Policy::kDamC,
+                std::forward<Registry>(registry));
+};
+static_assert(MakeMultiRankExecutorAccepts<const TaskTypeRegistry&>);
+static_assert(!MakeMultiRankExecutorAccepts<TaskTypeRegistry>);
+
+static_assert(std::is_constructible_v<sim::SimEngine, const Topology&, Policy,
+                                      const TaskTypeRegistry&>);
+static_assert(!std::is_constructible_v<sim::SimEngine, Topology, Policy,
+                                       const TaskTypeRegistry&>);
+static_assert(!std::is_constructible_v<sim::SimEngine, const Topology&, Policy,
+                                       TaskTypeRegistry>);
+static_assert(!std::is_constructible_v<sim::SimEngine,
+                                       std::vector<sim::RankSpec>, Policy,
+                                       TaskTypeRegistry>);
+static_assert(std::is_constructible_v<rt::Runtime, const Topology&, Policy,
+                                      const TaskTypeRegistry&>);
+static_assert(!std::is_constructible_v<rt::Runtime, Topology, Policy,
+                                       const TaskTypeRegistry&>);
+static_assert(!std::is_constructible_v<rt::Runtime, const Topology&, Policy,
+                                       TaskTypeRegistry>);
 
 class ExecutorTest : public ::testing::Test {
  protected:

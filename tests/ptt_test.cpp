@@ -1,16 +1,19 @@
 // Unit + property tests for the Performance Trace Table: zero-initialisation
 // exploration semantics, first-sample seeding, the weighted-average update
-// (paper §4.1.1), convergence under stationary inputs for every ratio, and
-// concurrent update integrity.
+// (paper §4.1.1), convergence under stationary inputs for every ratio,
+// concurrent update integrity, and the single-writer update's bitwise
+// equality with the CAS update.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <thread>
 #include <vector>
 
 #include "core/ptt.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace das {
 namespace {
@@ -83,6 +86,41 @@ TEST_P(PttRatioTest, ConvergesForEveryRatio) {
   EXPECT_EQ(t.samples(p), 201u);
 }
 
+TEST_P(PttRatioTest, SingleWriterUpdateEqualsCasUpdateBitwise) {
+  // update_st (the DES's single-writer path) and update (the CAS loop)
+  // must produce bitwise-equal values and equal sample counts for any
+  // sample stream, first-sample-verbatim rule included.
+  const int num = GetParam();
+  const Topology topo = Topology::haswell20();
+  Ptt cas(topo, UpdateRatio{num, 5});
+  Ptt st(topo, UpdateRatio{num, 5});
+  Xoshiro256 rng(static_cast<std::uint64_t>(num) * 7919);
+  for (int i = 0; i < 20000; ++i) {
+    const int pid = static_cast<int>(
+        rng.below(static_cast<std::uint64_t>(topo.num_places())));
+    // Samples spread over 2^-20 .. 2^10, zero included.
+    const int exponent = -20 + static_cast<int>(rng.below(30));
+    const double sample =
+        rng.below(8) == 0 ? 0.0 : std::ldexp(rng.uniform(), exponent);
+    const bool first = cas.samples(pid) == 0;
+    cas.update(pid, sample);
+    st.update_st(pid, sample);
+    if (first) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(st.value(pid)),
+                std::bit_cast<std::uint64_t>(sample));
+    }
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(st.value(pid)),
+              std::bit_cast<std::uint64_t>(cas.value(pid)))
+        << "place " << pid << " update " << i;
+    ASSERT_EQ(st.samples(pid), cas.samples(pid));
+  }
+  for (int pid = 0; pid < topo.num_places(); ++pid) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(st.value(pid)),
+              std::bit_cast<std::uint64_t>(cas.value(pid)));
+    EXPECT_EQ(st.samples(pid), cas.samples(pid));
+  }
+}
+
 TEST_P(PttRatioTest, GeometricDecayRate) {
   const int num = GetParam();
   const Topology topo = Topology::tx2();
@@ -108,6 +146,7 @@ TEST_F(PttTest, RejectsInvalidRatio) {
 TEST_F(PttTest, RejectsNegativeSample) {
   Ptt t(topo_);
   EXPECT_THROW(t.update(0, -1.0), PreconditionError);
+  EXPECT_THROW(t.update_st(0, -1.0), PreconditionError);
 }
 
 TEST_F(PttTest, FillSeedsEverything) {
