@@ -11,12 +11,8 @@
 #include <string>
 #include <vector>
 
-#include "core/cost_expr.hpp"
 #include "core/policy.hpp"
 #include "core/ptt.hpp"
-#include "core/task_type.hpp"
-#include "kernels/cost_models.hpp"
-#include "kernels/registry.hpp"
 #include "platform/speed_model.hpp"
 #include "platform/topology.hpp"
 #include "rt/wsq.hpp"
@@ -81,121 +77,6 @@ void BM_PolicyLocalSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PolicyLocalSearch);
-
-// ---- static-dispatch cost cells ------------------------------------------
-// Price of each dispatch layer the fused engine loops eliminate: the
-// dynamic policy entry points (one switch over the static instantiations)
-// vs the inlined *_static templates, and the std::function cost-model call
-// vs the inline closed-form evaluator vs the fixed-cost load. The engine
-// benches (sim_throughput, overhead_scaling) measure the end-to-end effect;
-// these isolate the per-call deltas.
-
-void BM_DispatchOnReadyDynamic(benchmark::State& state) {
-  const Topology topo = Topology::tx2();
-  PttStore store(topo, 1);
-  for (int pid = 0; pid < topo.num_places(); ++pid)
-    store.table(0).update(pid, 1e-3 + pid * 1e-5);
-  PolicyEngine eng(Policy::kDamC, topo, &store);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eng.on_ready(0, Priority::kLow, 3));
-  }
-}
-BENCHMARK(BM_DispatchOnReadyDynamic);
-
-void BM_DispatchOnReadyFused(benchmark::State& state) {
-  const Topology topo = Topology::tx2();
-  PttStore store(topo, 1);
-  for (int pid = 0; pid < topo.num_places(); ++pid)
-    store.table(0).update(pid, 1e-3 + pid * 1e-5);
-  PolicyEngine eng(Policy::kDamC, topo, &store);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        eng.on_ready_static<Policy::kDamC>(0, Priority::kLow, 3));
-  }
-}
-BENCHMARK(BM_DispatchOnReadyFused);
-
-void BM_DispatchOnExecuteDynamic(benchmark::State& state) {
-  const Topology topo = Topology::tx2();
-  PttStore store(topo, 1);
-  for (int pid = 0; pid < topo.num_places(); ++pid)
-    store.table(0).update(pid, 1e-3 + pid * 1e-5);
-  PolicyEngine eng(Policy::kDamC, topo, &store);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eng.on_execute(0, Priority::kLow, 3));
-  }
-}
-BENCHMARK(BM_DispatchOnExecuteDynamic);
-
-void BM_DispatchOnExecuteFused(benchmark::State& state) {
-  const Topology topo = Topology::tx2();
-  PttStore store(topo, 1);
-  for (int pid = 0; pid < topo.num_places(); ++pid)
-    store.table(0).update(pid, 1e-3 + pid * 1e-5);
-  PolicyEngine eng(Policy::kDamC, topo, &store);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        eng.on_execute_static<Policy::kDamC>(0, Priority::kLow, 3));
-  }
-}
-BENCHMARK(BM_DispatchOnExecuteFused);
-
-void BM_DispatchCostEvalErased(benchmark::State& state) {
-  // The pre-fusion hot path: every cost evaluation goes through the
-  // type-erased CostFn (a std::function wrapping CostExprFn).
-  const Topology topo = Topology::tx2();
-  TaskTypeRegistry reg;
-  const kernels::PaperKernelIds ids = kernels::register_paper_kernels(reg);
-  const TaskTypeInfo& info = reg.info(ids.matmul);
-  TaskParams p;
-  p.p0 = 64.0;
-  CostQuery q;
-  q.place = ExecutionPlace{0, 1};
-  q.cluster = &topo.cluster_of_core(0);
-  q.speed = 1.0;
-  q.bw_share = 1.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(info.cost(p, q));
-  }
-}
-BENCHMARK(BM_DispatchCostEvalErased);
-
-void BM_DispatchCostEvalExpr(benchmark::State& state) {
-  // The fused loops' evaluation: the identical arithmetic, inlined.
-  const Topology topo = Topology::tx2();
-  TaskTypeRegistry reg;
-  const kernels::PaperKernelIds ids = kernels::register_paper_kernels(reg);
-  const TaskTypeInfo& info = reg.info(ids.matmul);
-  TaskParams p;
-  p.p0 = 64.0;
-  CostQuery q;
-  q.place = ExecutionPlace{0, 1};
-  q.cluster = &topo.cluster_of_core(0);
-  q.speed = 1.0;
-  q.bw_share = 1.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cost_expr_eval(info.expr, p, q));
-  }
-}
-BENCHMARK(BM_DispatchCostEvalExpr);
-
-void BM_DispatchCostEvalFixed(benchmark::State& state) {
-  // The kFixed instantiation's evaluation: one load. The floor the
-  // scheduler-overhead benches (grain 0) run on.
-  TaskTypeRegistry reg;
-  const TaskTypeId fixed =
-      reg.register_type("fixed", kernels::fixed_cost(1e-6));
-  const TaskTypeInfo& info = reg.info(fixed);
-  TaskParams p;
-  CostQuery q;
-  q.place = ExecutionPlace{0, 1};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(info.expr.u.fixed.seconds);
-    benchmark::DoNotOptimize(p);
-  }
-  (void)q;
-}
-BENCHMARK(BM_DispatchCostEvalFixed);
 
 void BM_WsDequePushPop(benchmark::State& state) {
   rt::WsDeque<int> q;

@@ -30,13 +30,6 @@
 //                           layer, maximal fan-out — the shape that made
 //                           the old per-core vector queues quadratic).
 //                           Default: auto,fanout
-//   --dispatch=MODE[,MODE]  fused (default: let the engine pick its fused
-//                           (policy x cost-model) loop), generic (pin
-//                           SimOptions::force_generic_dispatch — the
-//                           type-erased fallback), or both. Generic cells
-//                           get a "/dispatch=generic" label suffix, so the
-//                           default labels (and the checked-in baseline)
-//                           are unchanged.
 //   --ranks=N[,N...]        scheduling domains per cell (default 1). For
 //                           N > 1 each rank gets its own --cores-wide
 //                           symmetric topology and the layered DAG is
@@ -161,13 +154,13 @@ int main(int argc, char** argv) {
       flags,
       " --policy=NAME[,..] --scenario=N|FILE --json=PATH --seed=N"
       " --cores=N[,N...] --tasks=N[,N...] --jobs=N"
-      " --parallelism=P[,P...]|auto|fanout --dispatch=fused|generic|both"
+      " --parallelism=P[,P...]|auto|fanout"
       " --ranks=N[,N...] --des-threads=N[,N...]|auto"
       " --baseline=PATH --update-baseline --tolerance=F"
       " (sim-only: no --backend/--scale)");
   cli::require_no_positionals(flags);
   flags.require_known({"policy", "scenario", "json", "seed", "help", "cores",
-                       "tasks", "jobs", "parallelism", "dispatch", "ranks",
+                       "tasks", "jobs", "parallelism", "ranks",
                        "des-threads", "baseline", "update-baseline",
                        "tolerance"});
 
@@ -215,15 +208,6 @@ int main(int argc, char** argv) {
     }
   }
   if (par_sweep.empty()) cli::die("--parallelism must name at least one value");
-  // Dispatch modes: false = fused (engine default), true = force generic.
-  std::vector<bool> dispatch_sweep;
-  {
-    const std::string mode = flags.get("dispatch", "fused");
-    if (mode == "fused") dispatch_sweep = {false};
-    else if (mode == "generic") dispatch_sweep = {true};
-    else if (mode == "both") dispatch_sweep = {false, true};
-    else cli::die("--dispatch expects fused, generic or both, got '" + mode + "'");
-  }
   const auto ranks_sweep = parse_int_list(flags, "ranks", {1});
   // des-threads entries: positive thread counts, -1 = auto (hardware
   // concurrency; the engine clamps to the rank count either way).
@@ -259,10 +243,10 @@ int main(int argc, char** argv) {
 
   // Empty kernel: with ~zero virtual work per task the wall clock measures
   // the event machinery, not the cost model. Registered through the fixed-
-  // cost factory (not a bare lambda) so the registry classifies as
-  // CostClass::kFixed and the engine's fused loop engages — the
-  // configuration the headline events/s figure is quoted for;
-  // --dispatch=generic pins the type-erased fallback for comparison.
+  // cost factory (not a bare lambda) so the type carries a kFixed
+  // expression and the engine evaluates it inline instead of calling a
+  // std::function — the configuration the headline events/s figure is
+  // quoted for.
   const TaskTypeId empty_id =
       b.registry.register_type("empty", kernels::fixed_cost(1e-9));
 
@@ -281,7 +265,6 @@ int main(int argc, char** argv) {
           b.make_scenario(topo, [](SpeedScenario&) {});  // default: clean
       for (const std::int64_t tasks : tasks_sweep) {
        for (const std::int64_t par : par_sweep) {
-       for (const bool force_generic : dispatch_sweep) {
        for (const std::int64_t ranks_n : ranks_sweep) {
        for (const int des_req : des_sweep) {
         // A single rank has nothing to thread: one serial cell per shape.
@@ -303,7 +286,6 @@ int main(int argc, char** argv) {
 
         sim::SimOptions opts;
         opts.seed = b.seed;
-        opts.force_generic_dispatch = force_generic;
         opts.des_threads = des_threads;
         // The historical single-rank ctor stays on the ranks=1 path so the
         // default cells (and the checked-in baseline labels) keep measuring
@@ -338,16 +320,14 @@ int main(int argc, char** argv) {
           rank_eps.push_back(static_cast<double>(eng.events_processed(r)) /
                              wall_s);
 
-        // Non-default modes carry label suffixes; the default (fused,
-        // single-rank, serial) labels are unchanged so existing baselines
-        // keep matching.
+        // Non-default modes carry label suffixes; the default (single-rank,
+        // serial) labels are unchanged so existing baselines keep matching.
         const std::string label =
             std::string("sim/") + policy_name(policy) + "/" +
             b.scenario_name() + "/cores=" + std::to_string(cores) +
             "/tasks=" + std::to_string(tasks) +
             "/p=" + std::to_string(spec.parallelism) +
             "/jobs=" + std::to_string(jobs) +
-            (force_generic ? "/dispatch=generic" : "") +
             (ranks_n > 1 ? "/ranks=" + std::to_string(ranks_n) : "") +
             (des_req != 1
                  ? std::string("/des=") +
@@ -375,7 +355,6 @@ int main(int argc, char** argv) {
         rec.set("policy", policy_name(policy));
         rec.set("backend", "sim");
         rec.set("scenario", b.scenario_name());
-        rec.set("dispatch", eng.dispatch_variant());
         rec.set("seed", b.seed);
         rec.set("cores", cores);
         rec.set("tasks_swept", tasks);
@@ -412,7 +391,6 @@ int main(int argc, char** argv) {
             .add(rank_col)
             .add(speedup > 0.0 ? fmt_double(speedup, 2) + "x"
                                : std::string("-"));
-       }
        }
        }
        }

@@ -141,42 +141,6 @@ int PolicyEngine::round_robin_fast_core() {
          static_cast<int>(n % static_cast<std::uint32_t>(fast_num_cores_));
 }
 
-// The dynamic hooks are ONE switch over the static instantiations
-// (policy.hpp): any behaviour change lands in both dispatch paths at once,
-// which is what lets the determinism goldens pin fused == generic.
-
-WakeDecision PolicyEngine::on_ready(TaskTypeId type, Priority priority,
-                                    int waking_core) {
-  switch (policy_) {
-    case Policy::kRws:
-      return on_ready_static<Policy::kRws>(type, priority, waking_core);
-    case Policy::kRwsmC:
-      return on_ready_static<Policy::kRwsmC>(type, priority, waking_core);
-    case Policy::kFa:
-      return on_ready_static<Policy::kFa>(type, priority, waking_core);
-    case Policy::kFamC:
-      return on_ready_static<Policy::kFamC>(type, priority, waking_core);
-    case Policy::kDa:
-      return on_ready_static<Policy::kDa>(type, priority, waking_core);
-    case Policy::kDamC:
-      return on_ready_static<Policy::kDamC>(type, priority, waking_core);
-    case Policy::kDamP:
-      return on_ready_static<Policy::kDamP>(type, priority, waking_core);
-    case Policy::kDheft:
-      return on_ready_static<Policy::kDheft>(type, priority, waking_core);
-  }
-  return on_ready_static<Policy::kRws>(type, priority, waking_core);
-}
-
-ExecutionPlace PolicyEngine::on_execute(TaskTypeId type, Priority priority,
-                                        int core) {
-  // Only the moldability trait matters here; two instantiations cover all
-  // eight policies.
-  if (policy_moldable(policy_))
-    return on_execute_static<Policy::kDamC>(type, priority, core);
-  return on_execute_static<Policy::kRws>(type, priority, core);
-}
-
 ExecutionPlace PolicyEngine::global_search(TaskTypeId type,
                                            Objective objective) {
   const std::size_t i =
@@ -303,28 +267,6 @@ void PolicyEngine::dheft_drain(const ExecutionPlace& place, double seconds) {
   do {
     next = std::max(cur - seconds, 0.0);
   } while (!r.compare_exchange_weak(cur, next, std::memory_order_relaxed));
-}
-
-void PolicyEngine::record_sample(TaskTypeId type, const ExecutionPlace& place,
-                                 double seconds) {
-  // Only the uses_ptt trait and the dHEFT drain matter; three
-  // instantiations cover all eight policies.
-  if (policy_ == Policy::kDheft)
-    return record_sample_static<Policy::kDheft>(type, place, seconds);
-  if (traits_.uses_ptt)
-    return record_sample_static<Policy::kDamC>(type, place, seconds);
-  return record_sample_static<Policy::kRws>(type, place, seconds);
-}
-
-void PolicyEngine::record_sample_st(TaskTypeId type,
-                                    const ExecutionPlace& place,
-                                    double seconds) {
-  constexpr PttWriters kSingle = PttWriters::kSingle;
-  if (policy_ == Policy::kDheft)
-    return record_sample_static<Policy::kDheft, kSingle>(type, place, seconds);
-  if (traits_.uses_ptt)
-    return record_sample_static<Policy::kDamC, kSingle>(type, place, seconds);
-  return record_sample_static<Policy::kRws, kSingle>(type, place, seconds);
 }
 
 }  // namespace das

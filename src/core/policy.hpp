@@ -70,7 +70,7 @@ struct PolicyTraits {
   bool uses_ptt;                   // needs the performance model
   bool priority_aware;             // treats high-priority tasks specially
 };
-/// constexpr so the static-dispatch hooks below can branch on traits at
+/// constexpr so the per-policy hook bodies below branch on traits at
 /// compile time (if constexpr (policy_traits(P).uses_ptt) ...).
 constexpr PolicyTraits policy_traits(Policy p) {
   switch (p) {
@@ -95,30 +95,11 @@ constexpr PolicyTraits policy_traits(Policy p) {
 }
 
 /// Whether the policy molds widths at dequeue time (the on_execute local
-/// search); derived, but named — both static and dynamic dispatch key on it.
+/// search); derived, but named — on_execute keys on it.
 constexpr bool policy_moldable(Policy p) {
   return p == Policy::kRwsmC || p == Policy::kFamC || p == Policy::kDamC ||
          p == Policy::kDamP;
 }
-
-/// Compile-time policy tags: one empty type per Table-1 row (plus the dHEFT
-/// baseline). The engines instantiate their hot loops over these tags so
-/// the three scheduling hooks inline and the per-event policy switch
-/// disappears; the untagged PolicyEngine methods remain the type-erased
-/// generic fallback and dispatch to the SAME static implementations, so the
-/// two paths cannot diverge.
-template <Policy P>
-struct PolicyTag {
-  static constexpr Policy kPolicy = P;
-};
-using RwsTag = PolicyTag<Policy::kRws>;
-using RwsmCTag = PolicyTag<Policy::kRwsmC>;
-using FaTag = PolicyTag<Policy::kFa>;
-using FamCTag = PolicyTag<Policy::kFamC>;
-using DaTag = PolicyTag<Policy::kDa>;
-using DamCTag = PolicyTag<Policy::kDamC>;
-using DamPTag = PolicyTag<Policy::kDamP>;
-using DheftTag = PolicyTag<Policy::kDheft>;
 
 struct WakeDecision {
   int queue_core = 0;       ///< worker whose queue receives the task
@@ -166,25 +147,6 @@ class PolicyEngine {
   void record_sample_st(TaskTypeId type, const ExecutionPlace& place,
                         double seconds);
 
-  // --- static-dispatch twins -------------------------------------------------
-  // Same three hooks with the policy resolved at compile time: the per-call
-  // policy switch folds away and the trivial bodies (RWS/FA wake-up, the
-  // non-moldable width-1 on_execute, the PTT-less record_sample) inline
-  // into the fused engine loops. All shared state (tie/RR counters, RNG
-  // stream, PTT, dHEFT reservations) is the same object the dynamic hooks
-  // use, and the dynamic hooks are one switch over these instantiations —
-  // a single implementation, so static and dynamic dispatch are equal by
-  // construction (the sim goldens pin it bitwise).
-
-  template <Policy P>
-  WakeDecision on_ready_static(TaskTypeId type, Priority priority,
-                               int waking_core);
-  template <Policy P>
-  ExecutionPlace on_execute_static(TaskTypeId type, Priority priority, int core);
-  template <Policy P, PttWriters W = PttWriters::kConcurrent>
-  void record_sample_static(TaskTypeId type, const ExecutionPlace& place,
-                            double seconds);
-
   // Exposed for tests and analysis ------------------------------------------
   enum class Objective { kCost, kTime };
   /// The min-search of Algorithm 1 over an explicit candidate set, with the
@@ -203,6 +165,22 @@ class PolicyEngine {
   TieState tie_state() const;
 
  private:
+  // --- per-policy hook bodies -----------------------------------------------
+  // The single implementation of the three hooks, with the policy resolved
+  // at compile time. The public hooks are one switch over these, defined
+  // inline below so the trivial bodies (RWS/FA wake-up, the non-moldable
+  // width-1 on_execute, the PTT-less record_sample) fold into the engines'
+  // scheduling loops instead of costing an out-of-line call per task.
+  template <Policy P>
+  WakeDecision on_ready_static(TaskTypeId type, Priority priority,
+                               int waking_core);
+  template <Policy P>
+  ExecutionPlace on_execute_static(TaskTypeId type, Priority priority,
+                                   int core);
+  template <Policy P, PttWriters W = PttWriters::kConcurrent>
+  void record_sample_static(TaskTypeId type, const ExecutionPlace& place,
+                            double seconds);
+
   /// One candidate of a search: the place's entry slot, the same in every
   /// Ptt of the store (the layout depends only on the topology), and its
   /// width for the cost objective.
@@ -250,11 +228,11 @@ class PolicyEngine {
   std::unique_ptr<std::atomic<double>[]> reserved_;
 };
 
-// --- static-hook definitions -------------------------------------------------
-// Kept in the header so the fused engine instantiations inline them. The
-// searches / round-robin / dHEFT helpers stay out-of-line in policy.cpp:
-// they are the genuinely expensive branches, and keeping them there keeps
-// the relaxed-atomic counters inside the lint whitelist.
+// --- hook definitions --------------------------------------------------------
+// Kept in the header so both engines inline them. The searches / round-robin
+// / dHEFT helpers stay out-of-line in policy.cpp: they are the genuinely
+// expensive branches, and keeping them there keeps the relaxed-atomic
+// counters inside the lint whitelist.
 
 template <Policy P>
 inline WakeDecision PolicyEngine::on_ready_static(TaskTypeId type,
@@ -341,52 +319,59 @@ inline void PolicyEngine::record_sample_static(TaskTypeId type,
   }
 }
 
-// --- engine-facing hook adapters ---------------------------------------------
-// The execution engines template their hot loops over one of these: the
-// static adapter binds a PolicyTag so the hooks above inline; the dynamic
-// adapter calls the runtime-dispatched methods and serves as the generic
-// fallback (unknown future policies, forced-generic runs, A/B checks).
+inline WakeDecision PolicyEngine::on_ready(TaskTypeId type, Priority priority,
+                                           int waking_core) {
+  switch (policy_) {
+    case Policy::kRws:
+      return on_ready_static<Policy::kRws>(type, priority, waking_core);
+    case Policy::kRwsmC:
+      return on_ready_static<Policy::kRwsmC>(type, priority, waking_core);
+    case Policy::kFa:
+      return on_ready_static<Policy::kFa>(type, priority, waking_core);
+    case Policy::kFamC:
+      return on_ready_static<Policy::kFamC>(type, priority, waking_core);
+    case Policy::kDa:
+      return on_ready_static<Policy::kDa>(type, priority, waking_core);
+    case Policy::kDamC:
+      return on_ready_static<Policy::kDamC>(type, priority, waking_core);
+    case Policy::kDamP:
+      return on_ready_static<Policy::kDamP>(type, priority, waking_core);
+    case Policy::kDheft:
+      return on_ready_static<Policy::kDheft>(type, priority, waking_core);
+  }
+  return on_ready_static<Policy::kRws>(type, priority, waking_core);
+}
 
-struct DynamicPolicyHooks {
-  static constexpr bool kStatic = false;
-  static WakeDecision on_ready(PolicyEngine& pe, TaskTypeId type,
-                               Priority priority, int waking_core) {
-    return pe.on_ready(type, priority, waking_core);
-  }
-  static ExecutionPlace on_execute(PolicyEngine& pe, TaskTypeId type,
-                                   Priority priority, int core) {
-    return pe.on_execute(type, priority, core);
-  }
-  static void record_sample(PolicyEngine& pe, TaskTypeId type,
-                            const ExecutionPlace& place, double seconds) {
-    pe.record_sample(type, place, seconds);
-  }
-  static void record_sample_st(PolicyEngine& pe, TaskTypeId type,
-                               const ExecutionPlace& place, double seconds) {
-    pe.record_sample_st(type, place, seconds);
-  }
-};
+inline ExecutionPlace PolicyEngine::on_execute(TaskTypeId type,
+                                               Priority priority, int core) {
+  // Only the moldability trait matters here; two instantiations cover all
+  // eight policies.
+  if (policy_moldable(policy_))
+    return on_execute_static<Policy::kDamC>(type, priority, core);
+  return on_execute_static<Policy::kRws>(type, priority, core);
+}
 
-template <class Tag>
-struct StaticPolicyHooks {
-  static constexpr bool kStatic = true;
-  static constexpr Policy kPolicy = Tag::kPolicy;
-  static WakeDecision on_ready(PolicyEngine& pe, TaskTypeId type,
-                               Priority priority, int waking_core) {
-    return pe.on_ready_static<kPolicy>(type, priority, waking_core);
-  }
-  static ExecutionPlace on_execute(PolicyEngine& pe, TaskTypeId type,
-                                   Priority priority, int core) {
-    return pe.on_execute_static<kPolicy>(type, priority, core);
-  }
-  static void record_sample(PolicyEngine& pe, TaskTypeId type,
-                            const ExecutionPlace& place, double seconds) {
-    pe.record_sample_static<kPolicy>(type, place, seconds);
-  }
-  static void record_sample_st(PolicyEngine& pe, TaskTypeId type,
-                               const ExecutionPlace& place, double seconds) {
-    pe.record_sample_static<kPolicy, PttWriters::kSingle>(type, place, seconds);
-  }
-};
+inline void PolicyEngine::record_sample(TaskTypeId type,
+                                        const ExecutionPlace& place,
+                                        double seconds) {
+  // Only the uses_ptt trait and the dHEFT drain matter; three
+  // instantiations cover all eight policies.
+  if (policy_ == Policy::kDheft)
+    return record_sample_static<Policy::kDheft>(type, place, seconds);
+  if (traits_.uses_ptt)
+    return record_sample_static<Policy::kDamC>(type, place, seconds);
+  return record_sample_static<Policy::kRws>(type, place, seconds);
+}
+
+inline void PolicyEngine::record_sample_st(TaskTypeId type,
+                                           const ExecutionPlace& place,
+                                           double seconds) {
+  constexpr PttWriters kSingle = PttWriters::kSingle;
+  if (policy_ == Policy::kDheft)
+    return record_sample_static<Policy::kDheft, kSingle>(type, place, seconds);
+  if (traits_.uses_ptt)
+    return record_sample_static<Policy::kDamC, kSingle>(type, place, seconds);
+  return record_sample_static<Policy::kRws, kSingle>(type, place, seconds);
+}
 
 }  // namespace das

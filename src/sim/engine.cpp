@@ -13,58 +13,13 @@ namespace das::sim {
 
 namespace {
 
-// Cost-evaluation strategies the event loop binds at compile time (the
-// second axis of the fused (policy x cost) instantiation grid; the first is
-// the PolicyHooks adapter from core/policy.hpp). All three produce
-// bit-identical doubles for catalog-built registries because they share one
-// arithmetic implementation (core/cost_expr.hpp) — the callable path merely
-// reaches it through the std::function the factories wrapped around it.
-
-/// Generic escape hatch: honours a user-supplied std::function (and still
-/// skips the indirection when a closed form exists).
-struct CallableCostEval {
-  static double eval(const TaskTypeInfo& info, const TaskParams& p,
-                     const CostQuery& q) {
-    return cost_eval(info, p, q);
-  }
-};
-
-/// Every executable type carries a closed form: inline switch, no erasure.
-struct ExprCostEval {
-  static double eval(const TaskTypeInfo& info, const TaskParams& p,
-                     const CostQuery& q) {
-    return cost_expr_eval(info.expr, p, q);
-  }
-};
-
-/// Every executable type is a kFixed constant: one load replaces the whole
-/// evaluation — the regime the scheduler-overhead benches run in.
-struct FixedCostEval {
-  static double eval(const TaskTypeInfo& info, const TaskParams&,
-                     const CostQuery&) {
-    DAS_ASSERT(info.expr.kind == CostExpr::Kind::kFixed);
-    return info.expr.u.fixed.seconds;
-  }
-};
-
-template <class Hooks, class Cost>
-struct SimMode {
-  using PolicyHooks = Hooks;
-  using CostEval = Cost;
-};
-
-/// The type-erased fallback loop: dynamic policy dispatch + the callable
-/// escape hatch. Everything exotic (user cost models, future policies,
-/// force_generic_dispatch A/B runs) lands here.
-using GenericMode = SimMode<DynamicPolicyHooks, CallableCostEval>;
-
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
 SimEngine::SimEngine(std::vector<RankSpec> ranks, Policy policy,
                      const TaskTypeRegistry& registry, SimOptions options)
-    : policy_kind_(policy), registry_(&registry), options_(options),
+    : registry_(&registry), options_(options),
       sync_(static_cast<int>(ranks.size())) {
   DAS_CHECK(!ranks.empty());
   const std::size_t num_ranks = ranks.size();
@@ -141,7 +96,6 @@ SimEngine::SimEngine(std::vector<RankSpec> ranks, Policy policy,
   // execution would interleave ranks' records nondeterministically.
   DAS_CHECK_MSG(options_.timeline == nullptr || protocol_threads_ == 1,
                 "timeline recording requires des_threads <= 1");
-  refresh_dispatch();
 }
 
 SimEngine::SimEngine(const Topology& topo, Policy policy,
@@ -283,9 +237,6 @@ JobId SimEngine::submit(const Dag& dag, double arrival_offset_s) {
                   "task type '" + ti.name +
                       "' has no cost model; the DES cannot execute it");
   }
-  // Registration may have happened since the last submit (a new kCallable
-  // type demotes to generic; a catalog-only registry promotes to fused).
-  refresh_dispatch();
   DAS_CHECK_MSG(dag.min_node_rank() >= 0 && dag.max_node_rank() < num_ranks(),
                 "dag node rank out of range");
   // The conservative window lookahead tightens monotonically to the
@@ -354,10 +305,13 @@ double SimEngine::wait(JobId id) {
   Job& job = job_of(id);
   // Advance the event loop until THIS job completes. Events of other
   // in-flight jobs that fall before its completion execute on the way — the
-  // interleave is a pure function of (seed, submission trace). The whole
-  // loop runs inside ONE dispatch instantiation (drain_fn_), so a fused
-  // configuration pays no per-event indirect call at all.
-  drain_fn_(*this, job);
+  // interleave is a pure function of (seed, submission trace).
+  if (shards_.size() == 1) {
+    Shard& sh = shards_[0];
+    while (!job.done && !sh.events.empty()) step(sh);
+  } else {
+    drain_windows(job);
+  }
   DAS_CHECK_MSG(job.done,
                 "event queue drained with " +
                     std::to_string(job.dag->num_nodes() - job.completed) +
@@ -399,15 +353,13 @@ double SimEngine::wait(JobId id) {
 }
 
 // daslint: begin-hot-path(sim-step)
-// The event-loop inner step: one pop + one handler per simulated event,
-// instantiated once per dispatch mode so the policy hooks and the cost
-// evaluation inline into the handlers. tools/daslint forbids allocation,
+// The event-loop inner step: one pop + one handler per simulated event.
+// tools/daslint forbids allocation,
 // lock acquisition, parking and type-erased calls here (the handlers reuse
 // per-core flat queues; see sim's throughput gate). Everything touched is
 // shard-local: in parallel runs the shard's owning thread is the only
 // caller, so this loop needs no atomics at all.
-template <class Mode>
-void SimEngine::step_t(Shard& sh) {
+void SimEngine::step(Shard& sh) {
   // Direct pop: with the lane/heap queue a pop is one source scan plus an
   // O(1) ring pop for the dominant event classes — cheaper than staging
   // identical-time batches through a side buffer was.
@@ -448,22 +400,22 @@ void SimEngine::step_t(Shard& sh) {
   switch (e.kind) {
     case Ev::kWake:
       set_inactive(sh, e.core);
-      handle_wake_t<Mode>(sh, e.core, sh.now);
+      handle_wake(sh, e.core, sh.now);
       break;
     case Ev::kDone:
-      handle_done_t<Mode>(sh, e, sh.now);
+      handle_done(sh, e, sh.now);
       break;
     case Ev::kRelease:
-      handle_release_t<Mode>(sh, e, sh.now);
+      handle_release(sh, e, sh.now);
       break;
     case Ev::kRoot:
-      make_ready_t<Mode>(sh, e.job, e.task, e.from_core, sh.now);
+      make_ready(sh, e.job, e.task, e.from_core, sh.now);
       break;
     case Ev::kTimer:
       note_timer_fired(sh, e, sh.now);
       break;
     case Ev::kFault:
-      handle_fault_t<Mode>(sh, e, sh.now);
+      handle_fault(sh, e, sh.now);
       break;
   }
 }
@@ -493,20 +445,18 @@ int SimEngine::live_fallback_core(const Shard& sh, int from) const {
   return 0;
 }
 
-template <class Mode>
-void SimEngine::requeue_lost_t(Shard& sh, JobId job_id, NodeId id, double t) {
+void SimEngine::requeue_lost(Shard& sh, JobId job_id, NodeId id, double t) {
   // Fresh attempt on the survivors. make_ready resets the TaskState (lost
   // counter included) and re-runs the wake path; the dead-core reroutes in
   // make_ready/distribute keep the new attempt off dead queues. Completion
   // stays exactly-once: the lost attempt recorded nothing — its remaining
-  // kDone events belong to dead cores and are dropped in step_t.
+  // kDone events belong to dead cores and are dropped in step().
   ++sh.tasks_reexecuted;
-  make_ready_t<Mode>(sh, job_id, id, /*waking_core=*/-1, t);
+  make_ready(sh, job_id, id, /*waking_core=*/-1, t);
 }
 
-template <class Mode>
-void SimEngine::reclaim_participation_t(Shard& sh, JobId job_id, NodeId id,
-                                        double t) {
+void SimEngine::reclaim_participation(Shard& sh, JobId job_id, NodeId id,
+                                      double t) {
   Job& job = job_at(job_id);
   TaskState& ts = job.tasks[static_cast<std::size_t>(id)];
   ++ts.lost;
@@ -515,11 +465,10 @@ void SimEngine::reclaim_participation_t(Shard& sh, JobId job_id, NodeId id,
   // them triggers the re-release from handle_done. Only when none remain is
   // the fault event itself the last accountant.
   if (ts.departures + ts.lost == ts.place.width)
-    requeue_lost_t<Mode>(sh, job_id, id, t);
+    requeue_lost(sh, job_id, id, t);
 }
 
-template <class Mode>
-void SimEngine::handle_fault_t(Shard& sh, const Event& e, double t) {
+void SimEngine::handle_fault(Shard& sh, const Event& e, double t) {
   const CoreFault& f = sh.faults[static_cast<std::size_t>(e.job)];
   CoreState& cs = sh.cores[static_cast<std::size_t>(f.core)];
   if (f.kind == CoreFault::Kind::kFreeze) {
@@ -562,11 +511,11 @@ void SimEngine::handle_fault_t(Shard& sh, const Event& e, double t) {
   while (!cs.aq.empty()) {
     const Participation p = cs.aq.front();
     cs.aq.pop_front();
-    reclaim_participation_t<Mode>(sh, p.job, p.task, t);
+    reclaim_participation(sh, p.job, p.task, t);
   }
   if (cs.busy) {
     cs.busy = false;
-    reclaim_participation_t<Mode>(sh, cs.running.job, cs.running.task, t);
+    reclaim_participation(sh, cs.running.job, cs.running.task, t);
   }
 }
 
@@ -593,7 +542,7 @@ void SimEngine::schedule_timer(double offset_s, std::uint64_t token) {
 bool SimEngine::pump_one() {
   if (shards_.size() == 1) {
     if (shards_[0].events.empty()) return false;
-    step();
+    step(shards_[0]);
   } else {
     // Multi-rank quantum = one conservative window (the finest step whose
     // end state is schedule-independent).
@@ -660,9 +609,8 @@ void SimEngine::wake_idle_cores(Shard& sh, double t) {
   }
 }
 
-template <class Mode>
-void SimEngine::make_ready_t(Shard& sh, JobId job_id, NodeId id,
-                             int waking_core, double t) {
+void SimEngine::make_ready(Shard& sh, JobId job_id, NodeId id, int waking_core,
+                           double t) {
   Job& job = job_at(job_id);
   const DagNode& n = node_of(job, id);
   // Live check, not just the sealed-metadata snapshot submit saw: a caller
@@ -684,8 +632,8 @@ void SimEngine::make_ready_t(Shard& sh, JobId job_id, NodeId id,
       waking_core >= 0 ? waking_core
                        : (n.affinity_core >= 0 ? n.affinity_core : 0);
 
-  const WakeDecision wd = Mode::PolicyHooks::on_ready(*rank.policy, n.type,
-                                                      n.priority, local_waker);
+  const WakeDecision wd =
+      rank.policy->on_ready(n.type, n.priority, local_waker);
   int queue_core = wd.queue_core;
   if (faults_enabled_) [[unlikely]] {
     // A dead core's queues are permanently unreachable; reroute to the next
@@ -701,8 +649,7 @@ void SimEngine::make_ready_t(Shard& sh, JobId job_id, NodeId id,
              rank.policy->traits().uses_ptt) {
     // Ablation: decide the width at wake-up and never re-mold.
     ts.has_fixed_place = true;
-    ts.place = Mode::PolicyHooks::on_execute(*rank.policy, n.type, n.priority,
-                                             wd.queue_core);
+    ts.place = rank.policy->on_execute(n.type, n.priority, wd.queue_core);
   }
 
   if (wd.stealable) {
@@ -747,10 +694,8 @@ void SimEngine::distribute(Shard& sh, Job& job, JobId job_id, NodeId id,
   }
 }
 
-template <class Mode>
-double SimEngine::participation_cost_t(Shard& sh, const Job& job, NodeId id,
-                                       int core, int rank_in_assembly,
-                                       double t) {
+double SimEngine::participation_cost(Shard& sh, const Job& job, NodeId id,
+                                     int core, int rank_in_assembly, double t) {
   const DagNode& n = node_of(job, id);
   const TaskState& ts = job.tasks[static_cast<std::size_t>(id)];
   const Rank& r = ranks_[static_cast<std::size_t>(sh.rank)];
@@ -772,16 +717,15 @@ double SimEngine::participation_cost_t(Shard& sh, const Job& job, NodeId id,
   // Hoisted per-task invariant (make_ready cached the registry row): the
   // per-participant path is the query build + the cost arithmetic itself.
   const TaskTypeInfo& info = *ts.type_info;
-  double cost = Mode::CostEval::eval(info, n.params, q);
+  double cost = cost_eval(info, n.params, q);
   if (options_.noise) {
     cost *= lognormal_noise(sh, TaskTypeRegistry::noise_sigma_of(info, cost));
   }
   return std::max(cost, 1e-9);
 }
 
-template <class Mode>
-void SimEngine::start_participation_t(Shard& sh, int core,
-                                      const Participation& p, double t) {
+void SimEngine::start_participation(Shard& sh, int core, const Participation& p,
+                                    double t) {
   CoreState& cs = sh.cores[static_cast<std::size_t>(core)];
   DAS_CHECK_MSG(!cs.busy, "core double-booked: a participation started while "
                           "another is still running");
@@ -790,7 +734,7 @@ void SimEngine::start_participation_t(Shard& sh, int core,
   if (ts.arrivals == 0) ts.first_arrival = t;
   ts.arrivals++;
   const double cost =
-      participation_cost_t<Mode>(sh, job, p.task, core, p.rank_in_assembly, t);
+      participation_cost(sh, job, p.task, core, p.rank_in_assembly, t);
   ts.max_cost = std::max(ts.max_cost, cost);
   const Rank& r = ranks_[static_cast<std::size_t>(sh.rank)];
   r.stats->record_busy_st(core, static_cast<std::int64_t>(cost * 1e9));
@@ -810,8 +754,7 @@ void SimEngine::start_participation_t(Shard& sh, int core,
   sh.events.push(t + cost, Event{Ev::kDone, core, p.job, p.task, -1});
 }
 
-template <class Mode>
-bool SimEngine::try_steal_t(Shard& sh, int core, double t) {
+bool SimEngine::try_steal(Shard& sh, int core, double t) {
   const Rank& r = ranks_[static_cast<std::size_t>(sh.rank)];
   const int hi = sh.num_cores;
   const int self_word = core >> 6;
@@ -855,7 +798,7 @@ bool SimEngine::try_steal_t(Shard& sh, int core, double t) {
   const ExecutionPlace place =
       ts.has_fixed_place
           ? ts.place
-          : Mode::PolicyHooks::on_execute(*r.policy, n.type, n.priority, core);
+          : r.policy->on_execute(n.type, n.priority, core);
   // Mark the thief active first (one pending wake), then distribute after
   // the steal round-trip.
   set_active(sh, core);
@@ -866,15 +809,14 @@ bool SimEngine::try_steal_t(Shard& sh, int core, double t) {
   return true;
 }
 
-template <class Mode>
-void SimEngine::handle_wake_t(Shard& sh, int core, double t) {
+void SimEngine::handle_wake(Shard& sh, int core, double t) {
   CoreState& cs = sh.cores[static_cast<std::size_t>(core)];
 
   // 1. Assembly queue first: committed work.
   if (!cs.aq.empty()) {
     const Participation p = cs.aq.front();
     cs.aq.pop_front();
-    start_participation_t<Mode>(sh, core, p, t);
+    start_participation(sh, core, p, t);
     return;
   }
   const Rank& r = ranks_[static_cast<std::size_t>(sh.rank)];
@@ -905,8 +847,7 @@ void SimEngine::handle_wake_t(Shard& sh, int core, double t) {
     const ExecutionPlace place =
         ts.has_fixed_place
             ? ts.place
-            : Mode::PolicyHooks::on_execute(*r.policy, n.type, n.priority,
-                                            core);
+            : r.policy->on_execute(n.type, n.priority, core);
     set_active(sh, core);  // see the inbox branch: one pending wake only
     sh.events.push_lane(kLaneDispatch, t + options_.dispatch_overhead_s,
                         Event{Ev::kWake, core, kInvalidJob, kInvalidNode, -1});
@@ -914,12 +855,11 @@ void SimEngine::handle_wake_t(Shard& sh, int core, double t) {
     return;
   }
   // 4. Steal from a random victim within the rank.
-  if (try_steal_t<Mode>(sh, core, t)) return;
+  if (try_steal(sh, core, t)) return;
   // 5. Nothing anywhere: go idle. A future push will re-activate us.
 }
 
-template <class Mode>
-void SimEngine::handle_done_t(Shard& sh, const Event& e, double t) {
+void SimEngine::handle_done(Shard& sh, const Event& e, double t) {
   Job& job = job_at(e.job);
   const NodeId id = e.task;
   const DagNode& n = node_of(job, id);
@@ -935,7 +875,7 @@ void SimEngine::handle_done_t(Shard& sh, const Event& e, double t) {
     // below belongs to the fresh attempt, which starts from a reset
     // TaskState.
     if (ts.departures + ts.lost == ts.place.width)
-      requeue_lost_t<Mode>(sh, e.job, e.task, t);
+      requeue_lost(sh, e.job, e.task, t);
     CoreState& finisher = sh.cores[static_cast<std::size_t>(e.core)];
     DAS_ASSERT(finisher.busy);
     finisher.busy = false;
@@ -954,8 +894,7 @@ void SimEngine::handle_done_t(Shard& sh, const Event& e, double t) {
     // Single-writer update: this thread alone steps the rank, so it alone
     // writes the rank's PTT.
     const double span = t - ts.first_arrival;
-    Mode::PolicyHooks::record_sample_st(*r.policy, n.type, ts.place,
-                                        ts.max_cost);
+    r.policy->record_sample_st(n.type, ts.place, ts.max_cost);
     const int place_id = r.topo->place_id(ts.place);
     r.stats->record_task_at_st(n.priority, place_id, span, n.phase);
     ts.completion = t;
@@ -1035,12 +974,11 @@ void SimEngine::handle_done_t(Shard& sh, const Event& e, double t) {
                       Event{Ev::kWake, e.core, kInvalidJob, kInvalidNode, -1});
 }
 
-template <class Mode>
-void SimEngine::handle_release_t(Shard& sh, const Event& e, double t) {
+void SimEngine::handle_release(Shard& sh, const Event& e, double t) {
   Job& job = job_at(e.job);
   std::int32_t& preds = job.preds[static_cast<std::size_t>(e.task)];
   DAS_ASSERT(preds > 0);
-  if (--preds == 0) make_ready_t<Mode>(sh, e.job, e.task, e.from_core, t);
+  if (--preds == 0) make_ready(sh, e.job, e.task, e.from_core, t);
 }
 
 // --- conservative window protocol (multi-rank) -------------------------------
@@ -1049,12 +987,11 @@ void SimEngine::handle_release_t(Shard& sh, const Event& e, double t) {
 // The per-rank window loop: pure shard-local event processing between two
 // phase publications. No allocation, no locks, no parking — a rank that
 // blocks here stalls every other rank at the next phase boundary.
-template <class Mode>
-void SimEngine::window_phase1_t(Shard& sh) {
+void SimEngine::window_phase1(Shard& sh) {
   const double hi = window_hi_;
   // INCLUSIVE horizon: with zero lookahead the window degenerates to
   // [W, W] and the protocol still advances one timestamp per round.
-  while (!sh.events.empty() && sh.events.top().time <= hi) step_t<Mode>(sh);
+  while (!sh.events.empty() && sh.events.top().time <= hi) step(sh);
 }
 // daslint: end-hot-path
 
@@ -1064,7 +1001,7 @@ void SimEngine::window_phase2(Shard& sh) {
   // same-time tie-break — is a pure function of the event streams,
   // independent of which thread ran which rank when. All staged messages
   // carry time >= W + L >= this shard's clock, so nothing lands in the
-  // shard's past (step_t asserts this).
+  // shard's past (step() asserts this).
   const int nr = num_ranks();
   for (int s = 0; s < nr; ++s) {
     if (s == sh.rank) continue;
@@ -1092,7 +1029,7 @@ void SimEngine::run_window() {
     // order. This is the reference ordering the parallel path must (and
     // does) reproduce bitwise — phase separation, drain order and seq
     // assignment are identical.
-    for (Shard& sh : shards_) window_fn_(*this, sh);
+    for (Shard& sh : shards_) window_phase1(sh);
     for (Shard& sh : shards_) window_phase2(sh);
     return;
   }
@@ -1104,7 +1041,7 @@ void SimEngine::run_window() {
   cmd_ec_.notify();
   const auto [lo, hi] = rank_block(0);
   for (int r = lo; r < hi; ++r)
-    window_fn_(*this, shards_[static_cast<std::size_t>(r)]);
+    window_phase1(shards_[static_cast<std::size_t>(r)]);
   for (int r = lo; r < hi; ++r) sync_.publish_phase(r, 3 * round_ - 2);
   sync_.wait_all_at_least(3 * round_ - 2);
   for (int r = lo; r < hi; ++r)
@@ -1154,7 +1091,7 @@ void SimEngine::worker_loop(int thread_index) {
     }
     if (cmd_exit_.load(std::memory_order_acquire)) return;
     for (int r = lo; r < hi; ++r)
-      window_fn_(*this, shards_[static_cast<std::size_t>(r)]);
+      window_phase1(shards_[static_cast<std::size_t>(r)]);
     for (int r = lo; r < hi; ++r) sync_.publish_phase(r, 3 * round - 2);
     sync_.wait_all_at_least(3 * round - 2);
     for (int r = lo; r < hi; ++r)
@@ -1164,59 +1101,6 @@ void SimEngine::worker_loop(int thread_index) {
     // closes the round.
     for (int r = lo; r < hi; ++r) sync_.publish_phase(r, 3 * round - 1);
   }
-}
-
-// --- dispatch selection ------------------------------------------------------
-
-template <class Mode>
-void SimEngine::drain_t(const Job& job) {
-  if (shards_.size() == 1) {
-    Shard& sh = shards_[0];
-    while (!job.done && !sh.events.empty()) step_t<Mode>(sh);
-    return;
-  }
-  drain_windows(job);
-}
-
-template <class Mode>
-void SimEngine::set_mode() {
-  step_fn_ = [](SimEngine& e) { e.step_t<Mode>(e.shards_[0]); };
-  drain_fn_ = [](SimEngine& e, const Job& j) { e.drain_t<Mode>(j); };
-  window_fn_ = [](SimEngine& e, Shard& sh) { e.window_phase1_t<Mode>(sh); };
-}
-
-template <class Tag>
-void SimEngine::set_fused(CostClass cls) {
-  if (cls == CostClass::kFixed) {
-    set_mode<SimMode<StaticPolicyHooks<Tag>, FixedCostEval>>();
-  } else {
-    set_mode<SimMode<StaticPolicyHooks<Tag>, ExprCostEval>>();
-  }
-  dispatch_variant_ = fused_variant_name(Tag::kPolicy, cls);
-}
-
-void SimEngine::refresh_dispatch() {
-  const CostClass cls = options_.force_generic_dispatch
-                            ? CostClass::kCallable
-                            : classify_cost_models(*registry_);
-  if (cls == CostClass::kCallable) {
-    set_mode<GenericMode>();
-    dispatch_variant_ = "generic";
-    return;
-  }
-  switch (policy_kind_) {
-    case Policy::kRws: set_fused<RwsTag>(cls); return;
-    case Policy::kRwsmC: set_fused<RwsmCTag>(cls); return;
-    case Policy::kFa: set_fused<FaTag>(cls); return;
-    case Policy::kFamC: set_fused<FamCTag>(cls); return;
-    case Policy::kDa: set_fused<DaTag>(cls); return;
-    case Policy::kDamC: set_fused<DamCTag>(cls); return;
-    case Policy::kDamP: set_fused<DamPTag>(cls); return;
-    case Policy::kDheft: set_fused<DheftTag>(cls); return;
-  }
-  // Unknown future policy value: the type-erased loop handles it.
-  set_mode<GenericMode>();
-  dispatch_variant_ = "generic";
 }
 
 }  // namespace das::sim

@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/fused.hpp"
+#include "core/cost_expr.hpp"
 #include "kernels/registry.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/engine.hpp"
@@ -121,18 +121,18 @@ std::string hex(double v) {
   return buf;
 }
 
-/// One cell's full observable footprint, for the fused-vs-generic A/B.
+/// One cell's full observable footprint.
 struct CellResult {
   double makespan = 0.0;
   std::uint64_t events = 0;
-  std::string variant;
 };
 
-CellResult run_cell_full(const std::string& scenario_name, Policy policy,
-                         std::uint64_t seed, bool force_generic) {
+/// The golden cell against an arbitrary registry; `matmul` names the type
+/// the DAG's tasks use.
+CellResult run_cell_with(const TaskTypeRegistry& registry, TaskTypeId matmul,
+                         const std::string& scenario_name, Policy policy,
+                         std::uint64_t seed) {
   const Topology topo = Topology::tx2();
-  TaskTypeRegistry registry;
-  const kernels::PaperKernelIds ids = kernels::register_paper_kernels(registry);
   const scenario::ScenarioSpec spec = *scenario::find_catalog(scenario_name);
   const SpeedScenario sc = scenario::build(spec, topo);
   // Passed for EVERY cell: an empty plan must leave the historical goldens
@@ -142,7 +142,6 @@ CellResult run_cell_full(const std::string& scenario_name, Policy policy,
 
   sim::SimOptions opts;
   opts.seed = seed;
-  opts.force_generic_dispatch = force_generic;
   sim::SimEngine eng(topo, policy, registry, opts, &sc, &faults);
   // 16000 matmul tasks, one high-priority critical task per layer: exercises
   // the inbox (steal-exempt) path, WSQ pushes and steals, and — under the
@@ -153,18 +152,49 @@ CellResult run_cell_full(const std::string& scenario_name, Policy policy,
   // pin DIFFERENT goldens — a run that never leaves the clean region would
   // let a scenario-sampling regression through.
   const Dag dag = workloads::make_synthetic_dag(
-      workloads::paper_matmul_spec(ids.matmul, 6, 0.5));
+      workloads::paper_matmul_spec(matmul, 6, 0.5));
   CellResult r;
   r.makespan = eng.run(dag);
   r.events = eng.events_processed();
-  r.variant = eng.dispatch_variant();
   return r;
 }
 
 double run_cell(const std::string& scenario_name, Policy policy,
                 std::uint64_t seed) {
-  return run_cell_full(scenario_name, policy, seed, /*force_generic=*/false)
+  TaskTypeRegistry registry;
+  const kernels::PaperKernelIds ids = kernels::register_paper_kernels(registry);
+  return run_cell_with(registry, ids.matmul, scenario_name, policy, seed)
       .makespan;
+}
+
+/// register_paper_kernels with every cost model hidden behind a forwarding
+/// lambda: register_type finds no CostExprFn inside, so each type stays
+/// kCallable and the engine calls its std::function for every participation
+/// — the path a user-supplied cost model takes.
+kernels::PaperKernelIds register_paper_kernels_as_callables(
+    TaskTypeRegistry& registry) {
+  const kernels::CostModelConfig cfg;
+  const kernels::CommParams comm;
+  const auto forward = [](CostFn f) -> CostFn {
+    return [f = std::move(f)](const TaskParams& p, const CostQuery& q) {
+      return f(p, q);
+    };
+  };
+  const auto add = [&](const char* name, CostFn f, double noise1) {
+    return registry.register_type(
+        TaskTypeInfo{name, forward(std::move(f)), cfg.noise0, noise1});
+  };
+  kernels::PaperKernelIds ids;
+  ids.matmul = add("matmul", kernels::matmul_cost(cfg), cfg.noise1);
+  ids.copy = add("copy", kernels::copy_cost(cfg), cfg.noise1);
+  ids.stencil = add("stencil", kernels::stencil_cost(cfg), cfg.noise1);
+  ids.comm = add("comm", kernels::comm_cost(comm.latency_s, comm.bw_gbs), 0.0);
+  ids.kmeans_map = add("kmeans_map", kernels::kmeans_map_cost(), cfg.noise1);
+  ids.kmeans_reduce =
+      add("kmeans_reduce", kernels::kmeans_reduce_cost(), cfg.noise1);
+  ids.heat_compute =
+      add("heat_compute", kernels::heat_compute_cost(cfg), cfg.noise1);
+  return ids;
 }
 
 TEST(SimDeterminism, GoldenMakespansAcrossCatalogPoliciesAndSeeds) {
@@ -200,36 +230,38 @@ TEST(SimDeterminism, GoldenMakespansAcrossCatalogPoliciesAndSeeds) {
   }
 }
 
-// The fused (policy x cost-model) engine instantiations and the type-erased
-// generic loop must be the SAME simulator, bit for bit: every catalog
-// scenario x ALL EIGHT policies x both seeds, run once with the default
-// dispatch (fused engages — asserted) and once pinned to the generic path
-// via SimOptions::force_generic_dispatch. Identical hexfloat makespans and
-// identical event counts or the single-implementation construction
-// (core/cost_expr.hpp + core/policy.hpp's *_static templates) has been
-// broken by a divergent edit to one path.
-TEST(SimDeterminism, FusedMatchesGenericBitwiseAcrossFullPolicyGrid) {
-  const Policy all_policies[] = {Policy::kRws,  Policy::kRwsmC, Policy::kFa,
-                                 Policy::kFamC, Policy::kDa,    Policy::kDamC,
-                                 Policy::kDamP, Policy::kDheft};
-  TaskTypeRegistry reg;
-  kernels::register_paper_kernels(reg);
-  for (const std::string& sc : scenario::catalog_names()) {
-    for (const Policy p : all_policies) {
+// A user std::function cost model is the one place the engine's cost path
+// forks (cost_eval's kCallable branch). The paper kernels registered through
+// forwarding lambdas must simulate exactly like the same kernels registered
+// through the factories, whose closed forms evaluate inline: identical
+// hexfloat makespans and identical event counts.
+TEST(SimDeterminism, CallableCostModelsMatchClosedFormsBitwise) {
+  TaskTypeRegistry closed;
+  const kernels::PaperKernelIds closed_ids =
+      kernels::register_paper_kernels(closed);
+  TaskTypeRegistry callable;
+  const kernels::PaperKernelIds callable_ids =
+      register_paper_kernels_as_callables(callable);
+  ASSERT_EQ(closed.size(), callable.size());
+  ASSERT_EQ(closed_ids.matmul, callable_ids.matmul);
+  for (TaskTypeId t = 0; t < callable.size(); ++t) {
+    EXPECT_NE(closed.info(t).expr.kind, CostExpr::Kind::kCallable)
+        << closed.info(t).name;
+    EXPECT_EQ(callable.info(t).expr.kind, CostExpr::Kind::kCallable)
+        << callable.info(t).name;
+  }
+
+  for (const char* sc : {"clean", "interference-burst"}) {
+    for (const Policy p : {Policy::kRws, Policy::kDamC, Policy::kDheft}) {
       for (const std::uint64_t seed : kSeeds) {
-        const CellResult fused = run_cell_full(sc, p, seed, false);
-        const CellResult generic = run_cell_full(sc, p, seed, true);
-        // The A/B is only meaningful if the fast path actually engaged and
-        // the lever actually pinned the slow one.
-        ASSERT_EQ(fused.variant,
-                  exec::plan_dispatch(p, reg).variant)
-            << "policy=" << policy_name(p)
-            << ": catalog registry did not select the fused loop";
-        ASSERT_EQ(generic.variant, std::string("generic"));
-        EXPECT_STREQ(hex(fused.makespan).c_str(), hex(generic.makespan).c_str())
+        const CellResult a =
+            run_cell_with(closed, closed_ids.matmul, sc, p, seed);
+        const CellResult b =
+            run_cell_with(callable, callable_ids.matmul, sc, p, seed);
+        EXPECT_STREQ(hex(a.makespan).c_str(), hex(b.makespan).c_str())
             << "scenario=" << sc << " policy=" << policy_name(p)
-            << " seed=" << seed << ": fused and generic dispatch diverged";
-        EXPECT_EQ(fused.events, generic.events)
+            << " seed=" << seed << ": callable and closed-form costs diverged";
+        EXPECT_EQ(a.events, b.events)
             << "scenario=" << sc << " policy=" << policy_name(p)
             << " seed=" << seed << ": event streams differ in length";
       }

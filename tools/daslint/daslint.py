@@ -22,10 +22,11 @@ Rules (each violation prints `file:line: [rule] message`; exit 1 on any):
 
   hot-path-stdfunction  Same regions: no type-erased dispatch — naming
                    std::function or invoking a TaskTypeInfo cost callable
-                   (`.cost(`). The fused engine loops exist precisely to
-                   keep erased calls off the steady-state path; catalog
-                   cost models evaluate through cost_expr_eval /
-                   cost_eval (core/cost_expr.hpp) instead.
+                   (`.cost(`). The scheduling loops call the header-inline
+                   PolicyEngine hooks (core/policy.hpp) and evaluate cost
+                   models through cost_eval (core/cost_expr.hpp), whose
+                   closed forms run inline; only a user-supplied kCallable
+                   model reaches its std::function, inside cost_eval.
 
   hot-path-park    Same regions: no parking/blocking primitives —
                    eventcount waits (prepare_wait / commit_wait /
@@ -238,8 +239,9 @@ def lint_file(root, rel, violations):
             if HOT_STDFUNCTION.search(code_line):
                 report("hot-path-stdfunction",
                        f"type-erased dispatch in hot-path region"
-                       f" '{region}' (use the fused hooks / cost_expr"
-                       f" evaluators, core/cost_expr.hpp)")
+                       f" '{region}' (call the PolicyEngine hooks directly"
+                       f" and evaluate costs through cost_eval,"
+                       f" core/cost_expr.hpp)")
             if HOT_PARK.search(code_line):
                 report("hot-path-park",
                        f"parking/blocking primitive in hot-path region"
