@@ -15,6 +15,13 @@
 // submitted N times back-to-back (overlapping in virtual time), exercising
 // the multi-job interleave path.
 //
+// Repetitions: one cell at --tasks=50000 finishes in ~25 ms of wall time,
+// and a single run's events/s swings ~2x between runs of the same binary.
+// Each cell therefore repeats (a fresh engine, the same jobs, hence the
+// same events) until it has run at least 3 times AND 0.25 s in total, and
+// reports — and gates on — the median repetition's events/s. The JSON
+// records the repetition count per cell ("reps").
+//
 // Regression gate (the CI cell): --baseline=PATH compares each cell's
 // events/s against a checked-in JSON baseline and exits 1 when any cell
 // regresses by more than --tolerance (default 0.25, the ">25%" CI
@@ -36,13 +43,8 @@
 //                           replicated per rank with halo cross-rank delay
 //                           edges (heat-band shape), so the conservative
 //                           window protocol has real boundary traffic.
-//                           Labels gain "/ranks=N".
-//   --des-threads=N[,..]    SimOptions::des_threads per cell: integers or
-//                           "auto" (= hardware concurrency; the engine
-//                           clamps to the rank count). Default 1 (serial
-//                           windows). Labels gain "/des=N"; cells print
-//                           per-rank events/s and the aggregate speedup
-//                           over the serial cell of the same shape.
+//                           Labels gain "/ranks=N"; cells print per-rank
+//                           events/s.
 //   --baseline=PATH         gate against baseline       (exit 1 on regression)
 //   --update-baseline       rewrite PATH from this run
 //   --tolerance=F           allowed fractional loss     (default 0.25)
@@ -51,10 +53,8 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "../bench/support.hpp"
@@ -70,6 +70,10 @@ struct Cell {
   std::string label;
   double events_per_s = 0.0;
 };
+
+// Per-cell repetition floor (see the header comment).
+constexpr std::size_t kMinReps = 3;
+constexpr double kMinCellWallS = 0.25;
 
 std::vector<std::int64_t> parse_int_list(const cli::Flags& flags,
                                          const std::string& key,
@@ -108,7 +112,7 @@ Topology make_topology(int cores) {
 /// the neighbouring ranks through a delayed cross-rank edge — the heat
 /// band-decomposition shape (workloads/heat.hpp), which both bounds the
 /// conservative lookahead (min cross-rank delay = cross_delay_s) and
-/// forces boundary-queue traffic in steady state.
+/// forces boundary-inbox traffic in steady state.
 Dag make_multi_rank_dag(TaskTypeId type, int ranks, int total_tasks,
                         int parallelism, double cross_delay_s) {
   Dag dag;
@@ -155,14 +159,13 @@ int main(int argc, char** argv) {
       " --policy=NAME[,..] --scenario=N|FILE --json=PATH --seed=N"
       " --cores=N[,N...] --tasks=N[,N...] --jobs=N"
       " --parallelism=P[,P...]|auto|fanout"
-      " --ranks=N[,N...] --des-threads=N[,N...]|auto"
+      " --ranks=N[,N...]"
       " --baseline=PATH --update-baseline --tolerance=F"
       " (sim-only: no --backend/--scale)");
   cli::require_no_positionals(flags);
   flags.require_known({"policy", "scenario", "json", "seed", "help", "cores",
-                       "tasks", "jobs", "parallelism", "ranks",
-                       "des-threads", "baseline", "update-baseline",
-                       "tolerance"});
+                       "tasks", "jobs", "parallelism", "ranks", "baseline",
+                       "update-baseline", "tolerance"});
 
   Bench b("sim_throughput");
   b.backend = Backend::kSim;
@@ -209,29 +212,6 @@ int main(int argc, char** argv) {
   }
   if (par_sweep.empty()) cli::die("--parallelism must name at least one value");
   const auto ranks_sweep = parse_int_list(flags, "ranks", {1});
-  // des-threads entries: positive thread counts, -1 = auto (hardware
-  // concurrency; the engine clamps to the rank count either way).
-  std::vector<int> des_sweep;
-  for (const std::string& part :
-       cli::split(flags.get("des-threads", "1"), ',')) {
-    if (part == "auto") {
-      des_sweep.push_back(-1);
-    } else {
-      try {
-        std::size_t pos = 0;
-        const long v = std::stol(part, &pos);
-        if (pos != part.size() || v < 1 || v > 4096)
-          throw std::invalid_argument(part);
-        des_sweep.push_back(static_cast<int>(v));
-      } catch (const std::exception&) {
-        cli::die("--des-threads expects a comma-separated list of positive "
-                 "integers or 'auto', got '" + part + "'");
-      }
-    }
-  }
-  if (des_sweep.empty()) cli::die("--des-threads must name at least one value");
-  const int auto_threads =
-      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 
   const std::string baseline_path = flags.get("baseline");
   const bool update_baseline = flags.has("update-baseline");
@@ -252,11 +232,9 @@ int main(int argc, char** argv) {
 
   print_backend(b);
   print_title("Simulator throughput: events/s over topology and DAG sweeps");
-  TextTable table({"cell", "policy", "events", "wall[s]", "events/s",
-                   "sim tasks/s", "vmakespan[s]", "rank ev/s", "x-serial"});
+  TextTable table({"cell", "policy", "events", "reps", "wall[s]", "events/s",
+                   "sim tasks/s", "vmakespan[s]", "rank ev/s"});
   std::vector<Cell> cells;
-  // Serial (no "/des=" suffix) events/s per shape, for the speedup column.
-  std::map<std::string, double> serial_eps;
 
   for (Policy policy : b.policies({Policy::kRws})) {
     for (const std::int64_t cores : cores_sweep) {
@@ -266,11 +244,6 @@ int main(int argc, char** argv) {
       for (const std::int64_t tasks : tasks_sweep) {
        for (const std::int64_t par : par_sweep) {
        for (const std::int64_t ranks_n : ranks_sweep) {
-       for (const int des_req : des_sweep) {
-        // A single rank has nothing to thread: one serial cell per shape.
-        if (ranks_n == 1 && des_req != des_sweep.front()) continue;
-        const int des_threads = des_req < 0 ? auto_threads : des_req;
-
         workloads::SyntheticDagSpec spec;
         spec.type = empty_id;
         spec.parallelism = par > 0    ? static_cast<int>(par)
@@ -286,29 +259,42 @@ int main(int argc, char** argv) {
 
         sim::SimOptions opts;
         opts.seed = b.seed;
-        opts.des_threads = des_threads;
         // The historical single-rank ctor stays on the ranks=1 path so the
         // default cells (and the checked-in baseline labels) keep measuring
         // the identical engine configuration.
         const std::vector<sim::RankSpec> rank_specs(
             static_cast<std::size_t>(ranks_n),
             sim::RankSpec{&topo, &scenario});
-        std::optional<sim::SimEngine> eng_holder;
-        if (ranks_n == 1)
-          eng_holder.emplace(topo, policy, b.registry, opts, &scenario);
-        else
-          eng_holder.emplace(rank_specs, policy, b.registry, opts);
-        sim::SimEngine& eng = *eng_holder;
 
-        Stopwatch wall;
-        std::vector<JobId> ids;
-        ids.reserve(static_cast<std::size_t>(jobs));
-        for (std::int64_t j = 0; j < jobs; ++j) ids.push_back(eng.submit(dag));
+        std::vector<double> walls;
+        double total_wall_s = 0.0;
+        std::uint64_t events = 0;
+        std::vector<std::uint64_t> rank_events;
         double last_makespan = 0.0;
-        for (const JobId id : ids) last_makespan = eng.wait(id);
-        const double wall_s = wall.elapsed_s();
+        while (walls.size() < kMinReps || total_wall_s < kMinCellWallS) {
+          std::optional<sim::SimEngine> eng_holder;
+          if (ranks_n == 1)
+            eng_holder.emplace(topo, policy, b.registry, opts, &scenario);
+          else
+            eng_holder.emplace(rank_specs, policy, b.registry, opts);
+          sim::SimEngine& eng = *eng_holder;
 
-        const std::uint64_t events = eng.events_processed();
+          Stopwatch wall;
+          std::vector<JobId> ids;
+          ids.reserve(static_cast<std::size_t>(jobs));
+          for (std::int64_t j = 0; j < jobs; ++j)
+            ids.push_back(eng.submit(dag));
+          for (const JobId id : ids) last_makespan = eng.wait(id);
+          walls.push_back(wall.elapsed_s());
+          total_wall_s += walls.back();
+
+          events = eng.events_processed();
+          rank_events.clear();
+          for (int r = 0; r < static_cast<int>(ranks_n); ++r)
+            rank_events.push_back(eng.events_processed(r));
+        }
+        const double wall_s = percentile(walls, 0.5);
+
         const double events_per_s = static_cast<double>(events) / wall_s;
         const std::int64_t total_tasks =
             static_cast<std::int64_t>(dag.num_nodes()) * jobs;
@@ -316,39 +302,19 @@ int main(int argc, char** argv) {
             static_cast<double>(total_tasks) / wall_s;
 
         std::vector<double> rank_eps;
-        for (int r = 0; r < static_cast<int>(ranks_n); ++r)
-          rank_eps.push_back(static_cast<double>(eng.events_processed(r)) /
-                             wall_s);
+        for (const std::uint64_t ev : rank_events)
+          rank_eps.push_back(static_cast<double>(ev) / wall_s);
 
-        // Non-default modes carry label suffixes; the default (single-rank,
-        // serial) labels are unchanged so existing baselines keep matching.
+        // Non-default modes carry label suffixes; the default (single-rank)
+        // labels are unchanged so existing baselines keep matching.
         const std::string label =
             std::string("sim/") + policy_name(policy) + "/" +
             b.scenario_name() + "/cores=" + std::to_string(cores) +
             "/tasks=" + std::to_string(tasks) +
             "/p=" + std::to_string(spec.parallelism) +
             "/jobs=" + std::to_string(jobs) +
-            (ranks_n > 1 ? "/ranks=" + std::to_string(ranks_n) : "") +
-            (des_req != 1
-                 ? std::string("/des=") +
-                       (des_req < 0 ? std::string("auto")
-                                    : std::to_string(des_req))
-                 : "");
+            (ranks_n > 1 ? "/ranks=" + std::to_string(ranks_n) : "");
         cells.push_back(Cell{label, events_per_s});
-
-        // Aggregate speedup over the serial cell of the same shape (only
-        // meaningful once that cell ran — put 1 before N in --des-threads).
-        std::string base_label = label;
-        if (const auto cut = base_label.find("/des=");
-            cut != std::string::npos)
-          base_label.resize(cut);
-        if (label == base_label) serial_eps[base_label] = events_per_s;
-        double speedup = 0.0;
-        if (label != base_label) {
-          const auto it = serial_eps.find(base_label);
-          if (it != serial_eps.end() && it->second > 0.0)
-            speedup = events_per_s / it->second;
-        }
 
         json::Value rec = json::Value::object();
         rec.set("label", label);
@@ -361,12 +327,11 @@ int main(int argc, char** argv) {
         rec.set("jobs", jobs);
         rec.set("parallelism", std::int64_t{spec.parallelism});
         rec.set("ranks", ranks_n);
-        rec.set("des_threads", std::int64_t{des_threads});
         json::Value per_rank = json::Value::array();
         for (const double v : rank_eps) per_rank.push_back(json::Value(v));
         rec.set("rank_events_per_s", std::move(per_rank));
-        if (speedup > 0.0) rec.set("speedup_vs_serial", speedup);
         rec.set("events", static_cast<std::int64_t>(events));
+        rec.set("reps", static_cast<std::int64_t>(walls.size()));
         rec.set("wall_s", wall_s);
         rec.set("events_per_s", events_per_s);
         rec.set("tasks", total_tasks);
@@ -384,14 +349,12 @@ int main(int argc, char** argv) {
             .add(label)
             .add(policy_name(policy))
             .add(static_cast<double>(events), 0)
+            .add(static_cast<std::int64_t>(walls.size()))
             .add(wall_s, 4)
             .add(events_per_s, 0)
             .add(sim_tasks_per_s, 0)
             .add(last_makespan, 6)
-            .add(rank_col)
-            .add(speedup > 0.0 ? fmt_double(speedup, 2) + "x"
-                               : std::string("-"));
-       }
+            .add(rank_col);
        }
        }
       }

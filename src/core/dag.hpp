@@ -192,10 +192,10 @@ class Dag {
   int min_node_rank() const { return min_rank_; }
   int max_node_rank() const { return max_rank_; }
   /// Minimum delay_s over edges whose endpoints live on different ranks,
-  /// +infinity when every edge is rank-local. This is the conservative
-  /// parallel DES lookahead: no rank can affect another sooner than this,
-  /// so all ranks may safely simulate a window of this width concurrently
-  /// (sim/engine.hpp).
+  /// +infinity when every edge is rank-local. This is the multi-rank DES
+  /// lookahead: no rank can affect another sooner than this, so each rank
+  /// may simulate a window of this width before exchanging cross-rank
+  /// releases (sim/engine.hpp).
   double min_cross_rank_delay() const {
     DAS_ASSERT(csr_off_.size() == nodes_.size() + 1);
     return min_cross_rank_delay_;

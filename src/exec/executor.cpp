@@ -113,7 +113,6 @@ sim::SimOptions to_sim_options(const ExecutorConfig& cfg) {
   o.completion_overhead_s = cfg.sim.completion_overhead_s;
   o.idle_wake_delay_s = cfg.sim.idle_wake_delay_s;
   o.noise = cfg.sim.noise;
-  o.des_threads = cfg.sim.des_threads;
   return o;
 }
 

@@ -148,11 +148,6 @@ struct ExecutorConfig {
     double idle_wake_delay_s = ::das::sim::SimOptions{}.idle_wake_delay_s;
     /// Lognormal measurement noise.
     bool noise = ::das::sim::SimOptions{}.noise;
-    /// Worker threads for multi-rank DES runs (conservative parallel
-    /// windows, sim/engine.hpp). <= 1 keeps the protocol on the calling
-    /// thread; results are bitwise identical either way. Ignored by the rt
-    /// backend and by single-rank sims.
-    int des_threads = ::das::sim::SimOptions{}.des_threads;
   } sim;
 
   class Builder;
@@ -192,7 +187,6 @@ class ExecutorConfig::Builder {
     return *this;
   }
   Builder& sim_noise(bool v) { cfg_.sim.noise = v; return *this; }
-  Builder& sim_des_threads(int v) { cfg_.sim.des_threads = v; return *this; }
   Builder& sim_overheads(double dispatch_s, double steal_s, double completion_s,
                          double idle_wake_s) {
     cfg_.sim.dispatch_overhead_s = dispatch_s;

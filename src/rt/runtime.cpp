@@ -43,7 +43,7 @@ Runtime::Runtime(const Topology& topo, Policy policy,
   }
   for (int c = 0; c < n; ++c) {
     workers_[static_cast<std::size_t>(c)]->thread =
-        std::thread([this, c] { worker_loop(c); });
+        std::thread([this, c] { worker_main(c); });
   }
   if (faults_armed_) watchdog_ = std::thread([this] { watchdog_loop(); });
 }

@@ -277,7 +277,7 @@ class Runtime {
   };
 
   // worker.cpp
-  void worker_loop(int core);
+  void worker_main(int core);
   /// Steady-state progress round: one pop from the first non-empty channel
   /// (AQ, inbox, feeder/WSQ, steal), dispatched to completion.
   bool try_make_progress(int core);

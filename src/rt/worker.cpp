@@ -17,7 +17,7 @@ constexpr int kSpinRoundsBeforePark = 2;
 
 }  // namespace
 
-void Runtime::worker_loop(int core) {
+void Runtime::worker_main(int core) {
   if (options_.pin_threads) {
     if (!pin_current_thread(core)) pinned_ = false;
   }

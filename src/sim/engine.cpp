@@ -1,7 +1,6 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -19,8 +18,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 SimEngine::SimEngine(std::vector<RankSpec> ranks, Policy policy,
                      const TaskTypeRegistry& registry, SimOptions options)
-    : registry_(&registry), options_(options),
-      sync_(static_cast<int>(ranks.size())) {
+    : registry_(&registry), options_(options) {
   DAS_CHECK(!ranks.empty());
   const std::size_t num_ranks = ranks.size();
   ranks_.reserve(num_ranks);
@@ -64,11 +62,6 @@ SimEngine::SimEngine(std::vector<RankSpec> ranks, Policy policy,
     for (int c = 0; c < sh.num_cores; ++c)
       sh.idle_bits[static_cast<std::size_t>(c) >> 6] |= std::uint64_t{1}
                                                         << (c & 63);
-    if (num_ranks > 1) {
-      sh.out.resize(num_ranks);
-      for (std::size_t d = 0; d < num_ranks; ++d)
-        if (d != r) sh.out[d] = std::make_unique<BoundaryQueue<BoundaryMsg>>();
-    }
     // Seed the rank's fault schedule into its heap (kFault events carry the
     // schedule index in their job field). Without faults nothing is pushed
     // and faults_enabled_ stays false: the event and RNG streams are
@@ -87,15 +80,6 @@ SimEngine::SimEngine(std::vector<RankSpec> ranks, Policy policy,
       }
     }
   }
-
-  protocol_threads_ =
-      num_ranks > 1
-          ? std::clamp(options_.des_threads, 1, static_cast<int>(num_ranks))
-          : 1;
-  // The timeline sink is a single unsynchronized stream; parallel window
-  // execution would interleave ranks' records nondeterministically.
-  DAS_CHECK_MSG(options_.timeline == nullptr || protocol_threads_ == 1,
-                "timeline recording requires des_threads <= 1");
 }
 
 SimEngine::SimEngine(const Topology& topo, Policy policy,
@@ -103,17 +87,6 @@ SimEngine::SimEngine(const Topology& topo, Policy policy,
                      const SpeedScenario* scenario, const FaultPlan* faults)
     : SimEngine(std::vector<RankSpec>{RankSpec{&topo, scenario, faults}},
                 policy, registry, options) {}
-
-SimEngine::~SimEngine() {
-  if (!workers_.empty()) {
-    // Workers are parked awaiting the next window command (every wait()/
-    // pump_one() leaves them quiescent); publish an exit command instead.
-    cmd_exit_.store(true, std::memory_order_release);
-    cmd_round_.store(++round_, std::memory_order_release);
-    cmd_ec_.notify();
-    for (std::thread& w : workers_) w.join();
-  }
-}
 
 double SimEngine::Shard::next_event_time() const {
   return events.empty() ? kInf : events.top().time;
@@ -357,8 +330,7 @@ double SimEngine::wait(JobId id) {
 // tools/daslint forbids allocation,
 // lock acquisition, parking and type-erased calls here (the handlers reuse
 // per-core flat queues; see sim's throughput gate). Everything touched is
-// shard-local: in parallel runs the shard's owning thread is the only
-// caller, so this loop needs no atomics at all.
+// shard-local, and one thread steps every shard.
 void SimEngine::step(Shard& sh) {
   // Direct pop: with the lane/heap queue a pop is one source scan plus an
   // O(1) ring pop for the dominant event classes — cheaper than staging
@@ -544,11 +516,9 @@ bool SimEngine::pump_one() {
     if (shards_[0].events.empty()) return false;
     step(shards_[0]);
   } else {
-    // Multi-rank quantum = one conservative window (the finest step whose
-    // end state is schedule-independent).
-    refresh_times();
-    if (sync_.min_time() == kInf) return false;
-    run_window();
+    // Multi-rank quantum = one conservative window (ranks inside a window
+    // are mutually unordered in virtual time).
+    if (!run_window()) return false;
   }
   deliver_deferred();
   return true;
@@ -891,8 +861,8 @@ void SimEngine::handle_done(Shard& sh, const Event& e, double t) {
     // core observes — NOT the assembly span: the span includes arrival skew
     // (participants queueing behind other work), which would make wide
     // places look slow for reasons that have nothing to do with the place.
-    // Single-writer update: this thread alone steps the rank, so it alone
-    // writes the rank's PTT.
+    // Single-writer update: the engine's one thread steps the rank, so it
+    // alone writes the rank's PTT.
     const double span = t - ts.first_arrival;
     r.policy->record_sample_st(n.type, ts.place, ts.max_cost);
     const int place_id = r.topo->place_id(ts.place);
@@ -922,9 +892,9 @@ void SimEngine::handle_done(Shard& sh, const Event& e, double t) {
       }
     } else {
       // Multi-rank: rank-local releases stay on this shard; cross-rank
-      // releases are STAGED into the destination's boundary queue (drained
-      // at the next window-phase boundary in sender-rank order — never
-      // pushed into another shard's live event queue).
+      // releases are STAGED into the destination's boundary inbox (moved
+      // into its event queue in window phase 2 — never pushed into another
+      // shard's live event queue mid-window).
       for (const DagEdge& edge : job.dag->successors(id)) {
         const int target = job.dag->node(edge.to).rank;
         if (target == sh.rank) {
@@ -935,31 +905,20 @@ void SimEngine::handle_done(Shard& sh, const Event& e, double t) {
             sh.events.push(t + edge.delay_s, rel);
           }
         } else {
-          sh.out[static_cast<std::size_t>(target)]->push(BoundaryMsg{
-              t + edge.delay_s,
-              Event{Ev::kRelease, -1, e.job, edge.to, kRemoteWaker}});
+          shards_[static_cast<std::size_t>(target)].boundary_inbox.push_back(
+              BoundaryMsg{t + edge.delay_s, Event{Ev::kRelease, -1, e.job,
+                                                  edge.to, kRemoteWaker}});
         }
       }
-      // Cross-shard completion accounting. finish_s is the MAX over
-      // completion instants — order-free, so schedule-independent; the
-      // atomic-max CAS publishes it, and the acq_rel counter RMW makes
-      // every prior finisher's CAS visible to whichever shard lands the
-      // final increment.
-      std::atomic_ref<double> fin(job.finish_s);
-      double prev = fin.load(std::memory_order_acquire);
-      while (prev < t &&
-             !fin.compare_exchange_weak(prev, t, std::memory_order_release,
-                                        std::memory_order_acquire)) {
-      }
-      std::atomic_ref<std::int64_t> completed(job.completed);
-      if (completed.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-          job.dag->num_nodes()) {
-        const double finish = fin.load(std::memory_order_acquire);
-        std::atomic_ref<bool>(job.done).store(true,
-                                              std::memory_order_release);
+      // Cross-shard completion accounting. Shards run a window in rank
+      // order, not virtual-time order, so the job's finish is the MAX over
+      // its tasks' completion instants, not the last one processed.
+      job.finish_s = std::max(job.finish_s, t);
+      if (++job.completed == job.dag->num_nodes()) {
+        job.done = true;
         if (job_done_hook_)
-          sh.deferred.push_back(
-              Deferred{false, static_cast<std::uint64_t>(e.job), finish});
+          sh.deferred.push_back(Deferred{
+              false, static_cast<std::uint64_t>(e.job), job.finish_s});
       }
     }
   }
@@ -984,11 +943,10 @@ void SimEngine::handle_release(Shard& sh, const Event& e, double t) {
 // --- conservative window protocol (multi-rank) -------------------------------
 
 // daslint: begin-hot-path(rank-window)
-// The per-rank window loop: pure shard-local event processing between two
-// phase publications. No allocation, no locks, no parking — a rank that
-// blocks here stalls every other rank at the next phase boundary.
-void SimEngine::window_phase1(Shard& sh) {
-  const double hi = window_hi_;
+// One shard's event loop inside a window: pure shard-local event processing,
+// no allocation beyond the boundary inbox's amortized growth (outside this
+// region, in handle_done), no locks, no waiting.
+void SimEngine::window_phase1(Shard& sh, double hi) {
   // INCLUSIVE horizon: with zero lookahead the window degenerates to
   // [W, W] and the protocol still advances one timestamp per round.
   while (!sh.events.empty() && sh.events.top().time <= hi) step(sh);
@@ -996,110 +954,29 @@ void SimEngine::window_phase1(Shard& sh) {
 // daslint: end-hot-path
 
 void SimEngine::window_phase2(Shard& sh) {
-  // Drain in-bound boundary links in SENDER-RANK order, FIFO within each
-  // link: the receiving queue's seq assignment — and with it every
-  // same-time tie-break — is a pure function of the event streams,
-  // independent of which thread ran which rank when. All staged messages
-  // carry time >= W + L >= this shard's clock, so nothing lands in the
-  // shard's past (step() asserts this).
-  const int nr = num_ranks();
-  for (int s = 0; s < nr; ++s) {
-    if (s == sh.rank) continue;
-    shards_[static_cast<std::size_t>(s)]
-        .out[static_cast<std::size_t>(sh.rank)]
-        ->drain([&sh](const BoundaryMsg& m) { sh.events.push(m.time, m.ev); });
-  }
-  sync_.set_time(sh.rank, sh.next_event_time());
+  // Append order is (sender rank, FIFO): phase 1 ran the senders in rank
+  // order. The receiving queue's seq assignment — and with it every
+  // same-time tie-break — is therefore a pure function of the event
+  // streams. Every staged message carries time >= W + L >= this shard's
+  // clock, so nothing lands in the shard's past (step() asserts this).
+  for (const BoundaryMsg& m : sh.boundary_inbox) sh.events.push(m.time, m.ev);
+  sh.boundary_inbox.clear();
 }
 
-void SimEngine::refresh_times() {
-  // Only legal between windows: every protocol thread is parked, so the
-  // driving thread owns all slots (its previous wait_all_at_least
-  // synchronized with their last publications).
-  for (const Shard& sh : shards_) sync_.set_time(sh.rank, sh.next_event_time());
-}
-
-void SimEngine::run_window() {
-  const double w = sync_.min_time();
-  DAS_ASSERT(w != kInf);
-  window_hi_ = w + lookahead_;  // +inf lookahead: one window drains all
-  ++round_;
-  if (protocol_threads_ <= 1) {
-    // Serial multi-rank: the SAME protocol on one thread, phases in rank
-    // order. This is the reference ordering the parallel path must (and
-    // does) reproduce bitwise — phase separation, drain order and seq
-    // assignment are identical.
-    for (Shard& sh : shards_) window_phase1(sh);
-    for (Shard& sh : shards_) window_phase2(sh);
-    return;
-  }
-  ensure_workers();
-  // The command publication (release) carries window_hi_ and everything
-  // else written since the workers parked; workers pick it up with an
-  // acquire load of cmd_round_.
-  cmd_round_.store(round_, std::memory_order_release);
-  cmd_ec_.notify();
-  const auto [lo, hi] = rank_block(0);
-  for (int r = lo; r < hi; ++r)
-    window_phase1(shards_[static_cast<std::size_t>(r)]);
-  for (int r = lo; r < hi; ++r) sync_.publish_phase(r, 3 * round_ - 2);
-  sync_.wait_all_at_least(3 * round_ - 2);
-  for (int r = lo; r < hi; ++r)
-    window_phase2(shards_[static_cast<std::size_t>(r)]);
-  for (int r = lo; r < hi; ++r) sync_.publish_phase(r, 3 * round_ - 1);
-  // Regaining exclusive access: after this wait every worker has published
-  // its last phase and gone back to parking on cmd_round_ — the driving
-  // thread may read and write any shard until the next command.
-  sync_.wait_all_at_least(3 * round_ - 1);
+bool SimEngine::run_window() {
+  double w = kInf;
+  for (const Shard& sh : shards_) w = std::min(w, sh.next_event_time());
+  if (w == kInf) return false;
+  const double hi = w + lookahead_;  // +inf lookahead: one window drains all
+  for (Shard& sh : shards_) window_phase1(sh, hi);
+  for (Shard& sh : shards_) window_phase2(sh);
+  return true;
 }
 
 void SimEngine::drain_windows(const Job& job) {
-  for (;;) {
-    // Plain read is safe: the workers are quiescent between windows and
-    // the final done-store happened-before the last phase publication.
-    if (job.done) return;
-    refresh_times();
-    if (sync_.min_time() == kInf) return;  // drained: wait() raises deadlock
-    run_window();
-  }
-}
-
-void SimEngine::ensure_workers() {
-  if (!workers_.empty()) return;
-  workers_.reserve(static_cast<std::size_t>(protocol_threads_ - 1));
-  for (int t = 1; t < protocol_threads_; ++t)
-    workers_.emplace_back([this, t] { worker_loop(t); });
-}
-
-std::pair<int, int> SimEngine::rank_block(int thread_index) const {
-  const int nr = num_ranks();
-  return {thread_index * nr / protocol_threads_,
-          (thread_index + 1) * nr / protocol_threads_};
-}
-
-void SimEngine::worker_loop(int thread_index) {
-  const auto [lo, hi] = rank_block(thread_index);
-  for (std::uint64_t round = 1;; ++round) {
-    // Park until the driver publishes window command `round` (or exit).
-    while (cmd_round_.load(std::memory_order_acquire) < round) {
-      const auto key = cmd_ec_.prepare_wait();
-      if (cmd_round_.load(std::memory_order_acquire) >= round) {
-        cmd_ec_.cancel_wait();
-        break;
-      }
-      cmd_ec_.commit_wait(key);
-    }
-    if (cmd_exit_.load(std::memory_order_acquire)) return;
-    for (int r = lo; r < hi; ++r)
-      window_phase1(shards_[static_cast<std::size_t>(r)]);
-    for (int r = lo; r < hi; ++r) sync_.publish_phase(r, 3 * round - 2);
-    sync_.wait_all_at_least(3 * round - 2);
-    for (int r = lo; r < hi; ++r)
-      window_phase2(shards_[static_cast<std::size_t>(r)]);
-    // No wait on the final phase here: the worker touches nothing shared
-    // until the next command, and the driver's wait_all_at_least is what
-    // closes the round.
-    for (int r = lo; r < hi; ++r) sync_.publish_phase(r, 3 * round - 1);
+  // Stops when the job is done or every queue drained (wait() then raises
+  // the deadlock).
+  while (!job.done && run_window()) {
   }
 }
 

@@ -45,43 +45,40 @@
 // scenario, policy, PTT and stats; work stealing never crosses ranks; DAG
 // edges between ranks carry a network delay (DagEdge::delay_s).
 //
-// Sharded / parallel DES: ALL mutable per-rank simulation state — event
-// queue, virtual clock, RNG stream, core rings, idle/WSQ bitmaps, event
-// counter — lives in a per-rank, cacheline-aligned Shard arena; event
-// payloads carry rank-LOCAL core ids, so the hot handlers never resolve a
-// global core to a rank at all. A single-rank engine is exactly shard 0 and
-// byte-for-byte reproduces the historical event/RNG streams (the
-// sim_determinism goldens pin this). A multi-rank engine runs a
-// conservative (Chandy-Misra-style) time-window protocol over the shards:
+// Sharded DES: ALL mutable per-rank simulation state — event queue,
+// virtual clock, RNG stream, core rings, idle/WSQ bitmaps, event counter —
+// lives in a per-rank Shard arena; event payloads carry rank-LOCAL core
+// ids, so the hot handlers never resolve a global core to a rank at all. A
+// single-rank engine is exactly shard 0 and byte-for-byte reproduces the
+// historical event/RNG streams (the sim_determinism goldens pin this). A
+// multi-rank engine runs a conservative (Chandy-Misra-style) time-window
+// protocol over the shards, on the calling thread:
 //
 //   window:  [W, W + L], L = min cross-rank DagEdge::delay_s over the
 //            in-flight jobs (Dag::min_cross_rank_delay(), sealed metadata);
 //            W = min next-event time across shards.
-//   phase 1: every rank processes its local events with time <= W + L;
-//            cross-rank releases are staged into bounded SPSC boundary
-//            queues (sim/boundary_queue.hpp), never pushed remotely.
-//   phase 2: after all ranks published phase 1 (per-rank atomic epochs +
-//            eventcount parking — sim/rank_sync.hpp, no barrier object, no
-//            lock), each rank drains its in-bound boundary queues in
-//            sender-rank order and publishes its next-event time; the next
-//            W is the min over those.
+//   phase 1: in ascending rank order, every shard processes its local
+//            events with time <= W + L; cross-rank releases are appended
+//            to the destination shard's boundary inbox, never pushed into
+//            its live event queue.
+//   phase 2: every shard moves its inbox into its event queue in append
+//            order — (sender rank, FIFO), since phase 1 ran the senders in
+//            rank order — and clears it.
 //
 // Because a cross-rank release sent from t_send >= W arrives at
 // t_send + delay >= W + L, nothing can land inside a horizon a rank already
-// processed — the window partition, the drain order and therefore the whole
-// simulation are pure functions of the event streams, independent of the
-// thread schedule. SimOptions::des_threads > 1 runs the SAME protocol with
-// one worker thread per rank block; des_threads == 1 (default) runs it on
-// the calling thread in rank order. Serial and parallel multi-rank runs are
-// bitwise identical by construction (tests/parallel_des_test.cpp asserts
-// per-rank trace hashes and RunResults across the policy grid).
+// processed, and the window partition and inbox order (hence every
+// same-time tie-break) are pure functions of the event streams.
+// tests/multi_rank_sim_test.cpp pins the result per rank: makespan, trace
+// hash and event count. A threaded variant of the same protocol (one
+// thread per rank block, barrier-free phase epochs, SPSC boundary rings)
+// was deleted: on 4 ranks it ran at 0.07-0.33x the serial speed, and at
+// best 1.04x on a maximal fan-out DAG.
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "core/dag.hpp"
@@ -91,12 +88,9 @@
 #include "platform/fault_plan.hpp"
 #include "platform/speed_model.hpp"
 #include "platform/topology.hpp"
-#include "sim/boundary_queue.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/rank_sync.hpp"
 #include "trace/stats.hpp"
 #include "trace/timeline.hpp"
-#include "util/eventcount.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
 
@@ -118,16 +112,15 @@ struct SimOptions {
   double idle_wake_delay_s = 200e-6;
   bool noise = true;                  ///< lognormal measurement noise
   int stats_phases = 1;               ///< phase dimension of ExecutionStats
-  /// Worker threads for multi-rank runs: <= 1 simulates every rank's
-  /// window phases on the calling thread (default); N > 1 spreads the
-  /// ranks over min(N, num_ranks) threads running the identical
-  /// conservative window protocol — results are bitwise the same either
-  /// way. Ignored for single-rank engines (nothing to parallelize).
+  /// Unused: nothing reads it. Multi-rank engines always run the window
+  /// protocol on the calling thread. Kept only because the checked-in
+  /// benchmark harness (perfbench/sim_halo.cpp) still assigns it; the next
+  /// change to that harness deletes both.
   int des_threads = 1;
   /// Fold every processed event (time, kind, core, job, task, waker) into
   /// a per-rank FNV-1a trace hash, exposed by trace_hash(rank). The
-  /// parallel-vs-serial equality tests compare these; off by default so
-  /// the hot loop pays one predicted-untaken branch.
+  /// multi-rank golden tests pin these; off by default so the hot loop
+  /// pays one predicted-untaken branch.
   bool hash_traces = false;
   PolicyOptions policy_options{};
   UpdateRatio ptt_ratio{};
@@ -165,7 +158,6 @@ class SimEngine {
 
   SimEngine(const SimEngine&) = delete;
   SimEngine& operator=(const SimEngine&) = delete;
-  ~SimEngine();
 
   /// Registers `dag` as a job whose roots release at now() + arrival_offset_s
   /// virtual seconds, without advancing the clock. `dag` must stay alive
@@ -195,7 +187,7 @@ class SimEngine {
   /// identical paths.
   std::uint64_t events_processed() const;
   /// Events dispatched by one rank's shard (per-rank bench reporting and
-  /// the parallel-vs-serial equality tests).
+  /// the multi-rank golden tests).
   std::uint64_t events_processed(int rank) const;
   /// FNV-1a hash of the rank's processed-event trace; 0 unless
   /// SimOptions::hash_traces. Two runs with equal hashes per rank took
@@ -264,7 +256,7 @@ class SimEngine {
   /// affinity path (a remote completion cannot name local queues).
   static constexpr int kRemoteWaker = -2;
 
-  /// A staged cross-rank release travelling through a boundary queue.
+  /// A staged cross-rank release waiting in a destination shard's inbox.
   struct BoundaryMsg {
     double time;
     Event ev;
@@ -352,10 +344,9 @@ class SimEngine {
   ///
   /// Sharing across ranks: dag/preds/tasks entries are only ever touched by
   /// the rank owning the node, so the only cross-rank fields are the
-  /// completion accounting below — multi-rank handlers access `completed`,
-  /// `finish_s` (max over completion instants — order-free, hence
-  /// schedule-independent) and `done` through std::atomic_ref; the
-  /// single-rank path keeps the historical plain operations.
+  /// completion accounting below. Multi-rank handlers take `finish_s` as
+  /// the max over completion instants, because shards finish a window in
+  /// rank order, not in virtual-time order.
   struct Job {
     const Dag* dag = nullptr;
     std::unique_ptr<TaskState[]> tasks;
@@ -383,7 +374,7 @@ class SimEngine {
   };
 
   /// ALL mutable per-rank simulation state, one cacheline-aligned arena per
-  /// rank so two ranks' hot loops never share a line. Core ids inside a
+  /// rank. Core ids inside a
   /// shard are rank-local [0, num_cores) — the cross-rank hot path does no
   /// rank_of_core resolution at all. Single-rank engines have exactly one
   /// shard and local == global.
@@ -405,10 +396,9 @@ class SimEngine {
     std::vector<CoreFault> faults;
     std::uint64_t tasks_reexecuted = 0;
     int cores_failed = 0;
-    /// Out-bound boundary-release queues, one per destination rank
-    /// ([self] stays null). This shard is the only producer; the
-    /// destination shard drains in window phase 2.
-    std::vector<std::unique_ptr<BoundaryQueue<BoundaryMsg>>> out;
+    /// In-bound cross-rank releases staged by window phase 1, moved into
+    /// `events` by phase 2. Cleared, capacity kept, every window.
+    std::vector<BoundaryMsg> boundary_inbox;
 
     double next_event_time() const;
   };
@@ -468,8 +458,7 @@ class SimEngine {
   void note_timer_fired(Shard& sh, const Event& e, double t);
 
   // --- event handlers ------------------------------------------------------
-  // Every handler operates on ONE shard; in parallel runs that shard's
-  // owning thread is the only caller. The policy hooks (core/policy.hpp)
+  // Every handler operates on ONE shard. The policy hooks (core/policy.hpp)
   // and cost_eval (core/cost_expr.hpp) are header-inline, so they fold into
   // these handlers.
   /// Pops and dispatches the shard's next event.
@@ -509,34 +498,19 @@ class SimEngine {
 
   // --- conservative window protocol (multi-rank) ---------------------------
   /// Phase 1 of the current window for one shard: process local events up
-  /// to and including window_hi_, staging cross-rank releases.
-  void window_phase1(Shard& sh);
-  /// Phase 2: drain in-bound boundary queues in sender-rank order (the
-  /// deterministic seq assignment), publish the shard's next-event time.
-  void window_phase2(Shard& sh);
-  /// Runs one complete window [window start = sync_ min, + lookahead_] over
-  /// all shards — on the calling thread in rank order (des_threads <= 1) or
-  /// with the parked worker threads (des_threads > 1). Caller must have
-  /// refreshed the published next-event times (refresh_times()).
-  void run_window();
-  /// Re-publishes every shard's next-event time; only valid while the
-  /// workers are quiescent (between windows). submit() invalidates the
-  /// published times, hence this runs at the top of every drain/pump.
-  void refresh_times();
+  /// to and including `hi`, staging cross-rank releases.
+  void window_phase1(Shard& sh, double hi);
+  /// Phase 2: move the shard's boundary inbox into its event queue in
+  /// append order (the deterministic seq assignment).
+  static void window_phase2(Shard& sh);
+  /// Runs one complete window [W, W + lookahead_] over all shards in rank
+  /// order; returns false (running nothing) when every queue is empty.
+  bool run_window();
   /// Window loop until `job` completes or every queue drains.
   void drain_windows(const Job& job);
   /// Delivers the deferred service notifications of every shard in rank
   /// order (event order within a shard), then clears them.
   void deliver_deferred();
-  /// Lazily spawns the worker threads (multi-rank, des_threads > 1).
-  void ensure_workers();
-  /// Worker-thread body: waits for window commands, runs the owned rank
-  /// block's phases, parks again.
-  void worker_loop(int thread_index);
-  /// Ranks owned by protocol thread `t` (contiguous block partition; thread
-  /// 0 is the caller). The partition does not affect results — only which
-  /// thread executes a given shard's deterministic phase.
-  std::pair<int, int> rank_block(int thread_index) const;
 
   std::vector<Rank> ranks_;
   std::vector<Shard> shards_;
@@ -573,17 +547,6 @@ class SimEngine {
   /// the submission trace, which is what makes the window partition (and
   /// with it every cross-rank seq assignment) replayable.
   double lookahead_ = std::numeric_limits<double>::infinity();
-  /// Inclusive horizon of the window currently executing; written by the
-  /// driving thread before the command publication, read by workers after
-  /// its acquire.
-  double window_hi_ = 0.0;
-  RankSync sync_{1};              // ctor initializes with the real rank count
-  std::uint64_t round_ = 0;       // windows issued (command sequence)
-  std::atomic<std::uint64_t> cmd_round_{0};
-  std::atomic<bool> cmd_exit_{false};
-  EventCount cmd_ec_;             // workers park here between windows
-  std::vector<std::thread> workers_;
-  int protocol_threads_ = 1;      // min(des_threads, num_ranks)
 };
 
 }  // namespace das::sim

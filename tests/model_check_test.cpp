@@ -26,8 +26,6 @@
 
 #include "chk/chk.hpp"
 #include "rt/wsq.hpp"
-#include "sim/boundary_queue.hpp"
-#include "sim/rank_sync.hpp"
 #include "util/eventcount.hpp"
 #include "util/mpsc_queue.hpp"
 #include "util/ring_buffer.hpp"
@@ -545,192 +543,6 @@ TEST(ModelCheckRingMutants, WrapCopyBugCaught) {
   auto r = chk::explore(o, ring_wrap_grow_scenario<true>);
   EXPECT_FALSE(r.ok) << "mutant 4 survived";
   EXPECT_NE(r.violation.find("ring"), std::string::npos) << r.violation;
-}
-
-// ---------------------------------------------------------------------------
-// Parallel-DES window protocol scenarios (sim/boundary_queue.hpp,
-// sim/rank_sync.hpp). These explore the REAL templates the conservative
-// parallel engine (sim/engine.cpp) is built on, and encode its three
-// ordering claims BEFORE any real thread runs them:
-//
-//   1. ring publication — a release staged by the sender rank's push() is
-//      visible (payload and all) to a concurrently draining receiver;
-//   2. phase handoff — spill overflow and next-event clocks published
-//      before a rank's phase store are visible after wait_all_at_least,
-//      and drain order is push order (seq assignment determinism);
-//   3. park/wake — a rank parked at a window-phase boundary is always
-//      woken by the last straggler's publish.
-//
-// Each claim has a seeded mutant test that must FAIL the exploration.
-
-using ChkBoundary = sim::BasicBoundaryQueue<std::uint64_t, chk::Model>;
-using ChkRankSync = sim::BasicRankSync<chk::Model>;
-
-/// Claim 1: producer pushes two releases into the ring while the consumer
-/// concurrently drains. Slots are chk::Var cells, so consuming a slot not
-/// ordered by the tail_ release/acquire pair is a data race; order must be
-/// push order.
-chk::Scenario boundary_ring_scenario() {
-  struct State {
-    ChkBoundary q{4};
-  };
-  auto st = std::make_shared<State>();
-  chk::Scenario s;
-  s.threads.push_back([st] {
-    st->q.push(11);
-    st->q.push(22);
-  });
-  s.threads.push_back([st] {
-    std::uint64_t got[2] = {0, 0};
-    std::size_t n = 0;
-    while (n < 2) {
-      st->q.drain([&](std::uint64_t v) {
-        if (n < 2) got[n] = v;
-        ++n;
-      });
-      if (n < 2) chk::spin_yield();
-    }
-    chk::expect(n == 2 && got[0] == 11 && got[1] == 22,
-                "boundary: ring drain lost or reordered releases");
-  });
-  return s;
-}
-
-/// Claims 1+2 together, exactly as the engine's window round uses them: the
-/// sender stages three releases into a capacity-2 ring (the third spills),
-/// publishes its next-event clock, then its phase epoch. The receiver
-/// publishes its own clock/phase, waits for the round, drains, and computes
-/// the window-min. The spill vector and time slots are plain cells — their
-/// safety is exactly the happens-before edge of publish_phase /
-/// wait_all_at_least.
-chk::Scenario window_phase_scenario() {
-  struct State {
-    ChkBoundary q{2};
-    ChkRankSync sync{2};
-  };
-  auto st = std::make_shared<State>();
-  chk::Scenario s;
-  s.threads.push_back([st] {  // rank 0: phase 1 of a window round
-    st->q.push(1);
-    st->q.push(2);
-    st->q.push(3);  // ring full -> spills
-    st->sync.set_time(0, 1.5);
-    st->sync.publish_phase(0, 1);
-    // (The round-close wait is exercised by rank_sync_park_scenario;
-    // leaving it out keeps this state space exhaustible and keeps the
-    // no-park schedules — the ones a downgraded publish races in — near
-    // the front of the DFS order.)
-  });
-  s.threads.push_back([st] {  // rank 1: phase 2 (drain + window-min)
-    st->sync.set_time(1, 2.5);
-    st->sync.publish_phase(1, 1);
-    st->sync.wait_all_at_least(1);
-    std::uint64_t got[3] = {0, 0, 0};
-    std::size_t n = 0;
-    st->q.drain([&](std::uint64_t v) {
-      if (n < 3) got[n] = v;
-      ++n;
-    });
-    chk::expect(n == 3 && got[0] == 1 && got[1] == 2 && got[2] == 3,
-                "boundary: staged releases lost across the phase boundary");
-    chk::expect(st->sync.min_time() == 1.5,
-                "rank-sync: window-min read a stale clock");
-  });
-  return s;
-}
-
-/// Claim 3: two ranks finish a phase in either order; each waits for the
-/// other. A lost wakeup (the engine's round-close handshake) is a deadlock.
-chk::Scenario rank_sync_park_scenario() {
-  struct State {
-    ChkRankSync sync{2};
-  };
-  auto st = std::make_shared<State>();
-  chk::Scenario s;
-  s.threads.push_back([st] {
-    st->sync.publish_phase(0, 1);
-    st->sync.wait_all_at_least(1);
-  });
-  s.threads.push_back([st] {
-    st->sync.publish_phase(1, 1);
-    st->sync.wait_all_at_least(1);
-  });
-  return s;
-}
-
-TEST(ModelCheckParallelDes, BoundaryRingExhaustive) {
-  chk::Options o;
-  o.max_schedules = 60000;
-  auto r = chk::explore(o, boundary_ring_scenario);
-  EXPECT_TRUE(r.ok) << r.violation;
-  EXPECT_TRUE(r.exhausted);
-}
-
-TEST(ModelCheckParallelDes, WindowPhaseHandoffBoundedDfs) {
-  chk::Options o;
-  o.max_schedules = long_mode() ? 400000 : 100000;
-  auto r = chk::explore(o, window_phase_scenario);
-  EXPECT_TRUE(r.ok) << r.violation;
-}
-
-TEST(ModelCheckParallelDes, ParkWakeBoundedDfs) {
-  chk::Options o;
-  o.max_schedules = long_mode() ? 400000 : 60000;
-  auto r = chk::explore(o, rank_sync_park_scenario);
-  EXPECT_TRUE(r.ok) << r.violation;
-}
-
-TEST(ModelCheckParallelDes, CoverageAtLeast10k) {
-  std::uint64_t total = 0;
-  for (auto* scen : {&boundary_ring_scenario, &window_phase_scenario,
-                     &rank_sync_park_scenario}) {
-    chk::Options o;
-    o.max_schedules = 100000;
-    total += chk::explore(o, *scen).distinct_interleavings;
-  }
-  chk::Options rnd;
-  rnd.mode = chk::Options::Mode::kRandom;
-  rnd.seed = 0xb0a7;
-  rnd.max_schedules = long_mode() ? 200000 : 11000;
-  total += chk::explore(rnd, window_phase_scenario).distinct_interleavings;
-  RecordProperty("parallel_des_interleavings", static_cast<int>(total));
-  EXPECT_GE(total, 10000u);
-}
-
-TEST(ModelCheckParallelDesMutants, RingPublishDowngradeCaught) {
-  MutantGuard g(chk::Mutant::kStoreReleaseToRelaxed);
-  chk::Options o;
-  o.max_schedules = 60000;
-  auto r = chk::explore(o, boundary_ring_scenario);
-  EXPECT_FALSE(r.ok) << "mutant 1 survived " << r.schedules << " schedules";
-  EXPECT_NE(r.violation.find("race"), std::string::npos) << r.violation;
-}
-
-TEST(ModelCheckParallelDesMutants, RingConsumeDowngradeCaught) {
-  MutantGuard g(chk::Mutant::kLoadAcquireToRelaxed);
-  chk::Options o;
-  o.max_schedules = 60000;
-  auto r = chk::explore(o, boundary_ring_scenario);
-  EXPECT_FALSE(r.ok) << "mutant 5 survived " << r.schedules << " schedules";
-  EXPECT_NE(r.violation.find("race"), std::string::npos) << r.violation;
-}
-
-TEST(ModelCheckParallelDesMutants, PhasePublishDowngradeCaught) {
-  MutantGuard g(chk::Mutant::kStoreReleaseToRelaxed);
-  chk::Options o;
-  o.max_schedules = 100000;
-  auto r = chk::explore(o, window_phase_scenario);
-  EXPECT_FALSE(r.ok) << "mutant 1 survived " << r.schedules << " schedules";
-  EXPECT_NE(r.violation.find("race"), std::string::npos) << r.violation;
-}
-
-TEST(ModelCheckParallelDesMutants, ParkWakeFenceDowngradeIsDeadlock) {
-  MutantGuard g(chk::Mutant::kFenceSeqCstToRelaxed);
-  chk::Options o;
-  o.max_schedules = 60000;
-  auto r = chk::explore(o, rank_sync_park_scenario);
-  EXPECT_FALSE(r.ok) << "mutant 2 survived " << r.schedules << " schedules";
-  EXPECT_NE(r.violation.find("deadlock"), std::string::npos) << r.violation;
 }
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,8 @@
 #include "platform/topology.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/engine.hpp"
+#include "trace/timeline.hpp"
+#include "util/json.hpp"
 #include "workloads/heat.hpp"
 
 namespace das::sim {
@@ -185,11 +189,9 @@ class MultiRankSimTest : public ::testing::Test {
   }
 
   CellResult run_cell(const std::vector<RankSpec>& ranks, const Dag& dag,
-                      Policy policy, std::uint64_t seed, int des_threads,
-                      int jobs = 1) {
+                      Policy policy, std::uint64_t seed, int jobs = 1) {
     SimOptions o;
     o.seed = seed;
-    o.des_threads = des_threads;
     o.hash_traces = true;
     SimEngine eng(ranks, policy, registry_, o);
     CellResult res;
@@ -230,12 +232,10 @@ TEST_F(MultiRankSimTest, ThreeRankGridGoldens) {
       for (std::uint64_t seed : seeds) {
         const std::string cell = sc_name + "/" + policy_name(p) + "/" +
                                  std::to_string(seed);
-        for (int des_threads : {1, kRanks}) {
-          const CellResult res = run_cell(ranks, dag, p, seed, des_threads);
-          if (print_goldens()) {
-            if (des_threads == 1) print_golden(cell, res);
-            continue;
-          }
+        const CellResult res = run_cell(ranks, dag, p, seed);
+        if (print_goldens()) {
+          print_golden(cell, res);
+        } else {
           ASSERT_LT(i, std::size(kGridGoldens))
               << "catalog/policy/seed grid changed — regenerate the table";
           EXPECT_STREQ(kGridGoldens[i].cell, cell.c_str());
@@ -249,19 +249,6 @@ TEST_F(MultiRankSimTest, ThreeRankGridGoldens) {
   EXPECT_EQ(i, std::size(kGridGoldens));
 }
 
-/// des_threads beyond the rank count clamps; results stay identical.
-TEST_F(MultiRankSimTest, OversubscribedThreadsClampToRanks) {
-  const Dag dag = heat_dag(kRanks);
-  const auto ranks = asymmetric_ranks();
-  const CellResult serial =
-      run_cell(ranks, dag, Policy::kDamC, kDefaultSeed, 1);
-  const CellResult par =
-      run_cell(ranks, dag, Policy::kDamC, kDefaultSeed, 16);
-  EXPECT_EQ(serial.makespan, par.makespan);
-  EXPECT_EQ(serial.hashes, par.hashes);
-  EXPECT_EQ(serial.events, par.events);
-}
-
 /// Fail-stop faults are rank-local events inside the window protocol: a
 /// per-rank FaultPlan (resolve_faults keeps core 0 of each rank alive, so
 /// no rank ever leaves the protocol) replays bitwise, including the
@@ -273,7 +260,7 @@ TEST_F(MultiRankSimTest, FailStopFaultsGolden) {
   // A clean probe sizes the onset so the kills land mid-run on every rank's
   // schedule.
   const CellResult clean =
-      run_cell(asymmetric_ranks(), dag, Policy::kDamC, kDefaultSeed, 1);
+      run_cell(asymmetric_ranks(), dag, Policy::kDamC, kDefaultSeed);
 
   scenario::ScenarioSpec spec;
   spec.name = "multi-rank-fail";
@@ -292,38 +279,19 @@ TEST_F(MultiRankSimTest, FailStopFaultsGolden) {
   for (std::size_t r = 0; r < plans.size(); ++r)
     ranks.push_back(RankSpec{topos[r], nullptr, &plans[r]});
 
-  for (int des_threads : {1, kRanks}) {
-    const CellResult res =
-        run_cell(ranks, dag, Policy::kDamC, kDefaultSeed, des_threads);
-    if (print_goldens()) {
-      if (des_threads == 1) {
-        print_golden(kFailStopGolden.cell, res);
-        std::printf("    reexecuted=%llu\n",
-                    static_cast<unsigned long long>(res.reexecuted));
-      }
-      continue;
-    }
-    // tx2 and small lose 2 cores each, haswell20 loses 5.
-    EXPECT_EQ(res.failed, 9);
-    EXPECT_EQ(res.reexecuted, kFailStopReexecuted);
-    expect_golden(kFailStopGolden, res);
-    // And the faulty schedule is genuinely different from the clean one.
-    EXPECT_NE(res.hashes, clean.hashes);
+  const CellResult res = run_cell(ranks, dag, Policy::kDamC, kDefaultSeed);
+  if (print_goldens()) {
+    print_golden(kFailStopGolden.cell, res);
+    std::printf("    reexecuted=%llu\n",
+                static_cast<unsigned long long>(res.reexecuted));
+    GTEST_SKIP() << "golden printed";
   }
-  if (print_goldens()) GTEST_SKIP() << "golden printed";
-}
-
-/// A single-rank engine has nothing to parallelize: des_threads is ignored
-/// and the historical single-rank event loop runs unchanged.
-TEST_F(MultiRankSimTest, SingleRankIgnoresDesThreads) {
-  const Dag dag = heat_dag(1);
-  const std::vector<RankSpec> one = {RankSpec{&haswell_, nullptr}};
-  const CellResult serial =
-      run_cell(one, dag, Policy::kDamC, kDefaultSeed, 1);
-  const CellResult par = run_cell(one, dag, Policy::kDamC, kDefaultSeed, 4);
-  EXPECT_EQ(serial.makespan, par.makespan);
-  EXPECT_EQ(serial.hashes, par.hashes);
-  EXPECT_EQ(serial.events, par.events);
+  // tx2 and small lose 2 cores each, haswell20 loses 5.
+  EXPECT_EQ(res.failed, 9);
+  EXPECT_EQ(res.reexecuted, kFailStopReexecuted);
+  expect_golden(kFailStopGolden, res);
+  // And the faulty schedule is genuinely different from the clean one.
+  EXPECT_NE(res.hashes, clean.hashes);
 }
 
 /// Tiny cross-rank delay -> tiny lookahead -> many small windows with
@@ -331,18 +299,14 @@ TEST_F(MultiRankSimTest, SingleRankIgnoresDesThreads) {
 TEST_F(MultiRankSimTest, TinyLookaheadManyWindows) {
   const Dag dag = heat_dag(kRanks, /*net_latency_s=*/1e-9);
   const auto ranks = asymmetric_ranks();
-  for (int des_threads : {1, kRanks}) {
-    const CellResult res =
-        run_cell(ranks, dag, Policy::kDamC, kDefaultSeed, des_threads);
-    EXPECT_GT(res.lookahead, 0.0);
-    EXPECT_LT(res.lookahead, 1e-6);  // the tiny latency really took effect
-    if (print_goldens()) {
-      if (des_threads == 1) print_golden(kTinyLookaheadGolden.cell, res);
-      continue;
-    }
-    expect_golden(kTinyLookaheadGolden, res);
+  const CellResult res = run_cell(ranks, dag, Policy::kDamC, kDefaultSeed);
+  EXPECT_GT(res.lookahead, 0.0);
+  EXPECT_LT(res.lookahead, 1e-6);  // the tiny latency really took effect
+  if (print_goldens()) {
+    print_golden(kTinyLookaheadGolden.cell, res);
+    GTEST_SKIP() << "golden printed";
   }
-  if (print_goldens()) GTEST_SKIP() << "golden printed";
+  expect_golden(kTinyLookaheadGolden, res);
 }
 
 /// Back-to-back jobs on a persistent engine: the virtual clock and PTT
@@ -350,16 +314,53 @@ TEST_F(MultiRankSimTest, TinyLookaheadManyWindows) {
 TEST_F(MultiRankSimTest, MultiJobPersistentEngineGolden) {
   const Dag dag = heat_dag(kRanks);
   const auto ranks = asymmetric_ranks();
-  for (int des_threads : {1, kRanks}) {
-    const CellResult res = run_cell(ranks, dag, Policy::kRwsmC, kDefaultSeed,
-                                    des_threads, /*jobs=*/2);
-    if (print_goldens()) {
-      if (des_threads == 1) print_golden(kMultiJobGolden.cell, res);
-      continue;
-    }
-    expect_golden(kMultiJobGolden, res);
+  const CellResult res =
+      run_cell(ranks, dag, Policy::kRwsmC, kDefaultSeed, /*jobs=*/2);
+  if (print_goldens()) {
+    print_golden(kMultiJobGolden.cell, res);
+    GTEST_SKIP() << "golden printed";
   }
-  if (print_goldens()) GTEST_SKIP() << "golden printed";
+  expect_golden(kMultiJobGolden, res);
+}
+
+/// A multi-rank engine records one timeline: every rank's participations on
+/// that rank's global core range, in an order fixed by the window protocol,
+/// so two runs export byte-identical Chrome traces.
+TEST_F(MultiRankSimTest, TimelineCoversEveryRankDeterministically) {
+  const Dag dag = heat_dag(kRanks);
+  const auto ranks = asymmetric_ranks();
+  const auto record = [&] {
+    Timeline tl;
+    SimOptions o;
+    o.timeline = &tl;
+    SimEngine eng(ranks, Policy::kDamC, registry_, o);
+    eng.run(dag);
+    std::ostringstream os;
+    tl.write_chrome_json(os);
+    return os.str();
+  };
+  const std::string first = record();
+  EXPECT_EQ(first, record()) << "timeline export is not replayable";
+
+  // Global core ranges: tx2 [0, 6), haswell20 [6, 26), small [26, 32).
+  const int bounds[kRanks + 1] = {0, tx2_.num_cores(),
+                                  tx2_.num_cores() + haswell_.num_cores(),
+                                  tx2_.num_cores() + haswell_.num_cores() +
+                                      small_.num_cores()};
+  std::set<int> ranks_seen;
+  const json::Value doc = json::parse(first);
+  const json::Value* events = doc.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_GT(events->size(), 0u);
+  for (const json::Value& ev : events->as_array()) {
+    const int core = static_cast<int>(ev.find("tid")->as_number());
+    ASSERT_GE(core, 0);
+    ASSERT_LT(core, bounds[kRanks]);
+    for (int r = 0; r < kRanks; ++r)
+      if (core >= bounds[r] && core < bounds[r + 1]) ranks_seen.insert(r);
+  }
+  EXPECT_EQ(ranks_seen.size(), static_cast<std::size_t>(kRanks))
+      << "some rank recorded no interval";
 }
 
 /// The conservative lookahead is the minimum cross-rank edge delay over

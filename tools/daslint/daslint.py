@@ -31,11 +31,12 @@ Rules (each violation prints `file:line: [rule] message`; exit 1 on any):
   hot-path-park    Same regions: no parking/blocking primitives —
                    eventcount waits (prepare_wait / commit_wait /
                    wait_all_at_least), condition variables, sleeps,
-                   thread joins. The parallel DES rank loop (the
-                   `rank-window` region in src/sim/engine.cpp) must only
-                   block at the window-phase boundaries OUTSIDE the
-                   region: a park inside the per-rank event loop stalls
-                   every other rank at the next phase barrier.
+                   thread joins. The regions are pure compute: the rt
+                   dispatch path parks only in the idle loop outside
+                   them, and the multi-rank simulator's `rank-window`
+                   region (src/sim/engine.cpp) is one shard's event
+                   loop inside a window, run on the calling thread —
+                   nothing in the DES ever waits on another thread.
 
   sim-wall-clock   src/sim/** must not read wall-clock time (std::chrono
                    clocks, now_ns, clock_gettime, gettimeofday, time()).
@@ -82,10 +83,6 @@ import sys
 # slashes). Each carries its ordering argument in comments at the use site.
 RELAXED_WHITELIST = {
     "src/chk/chk.cpp",
-    # SPSC ring: relaxed loads are each side's OWN index (single writer);
-    # cross-thread publication rides the release/acquire pair on the
-    # opposite index. Argued in the header comment at each use site.
-    "src/sim/boundary_queue.hpp",
     "src/core/policy.cpp",
     "src/core/ptt.cpp",
     "src/rt/runtime.cpp",
@@ -245,8 +242,8 @@ def lint_file(root, rel, violations):
             if HOT_PARK.search(code_line):
                 report("hot-path-park",
                        f"parking/blocking primitive in hot-path region"
-                       f" '{region}' (block only at window-phase"
-                       f" boundaries, outside the region)")
+                       f" '{region}' (hot paths never wait; park"
+                       f" outside the region)")
         if in_sim:
             if SIM_WALL_CLOCK.search(code_line):
                 report("sim-wall-clock",
