@@ -283,7 +283,8 @@ double SimEngine::wait(JobId id) {
     Shard& sh = shards_[0];
     while (!job.done && !sh.events.empty()) step(sh);
   } else {
-    drain_windows(job);
+    while (!job.done && run_window()) {
+    }
   }
   DAS_CHECK_MSG(job.done,
                 "event queue drained with " +
@@ -943,9 +944,8 @@ void SimEngine::handle_release(Shard& sh, const Event& e, double t) {
 // --- conservative window protocol (multi-rank) -------------------------------
 
 // daslint: begin-hot-path(rank-window)
-// One shard's event loop inside a window: pure shard-local event processing,
-// no allocation beyond the boundary inbox's amortized growth (outside this
-// region, in handle_done), no locks, no waiting.
+// One shard's event loop inside a window: shard-local event processing only,
+// no locks, no waiting.
 void SimEngine::window_phase1(Shard& sh, double hi) {
   // INCLUSIVE horizon: with zero lookahead the window degenerates to
   // [W, W] and the protocol still advances one timestamp per round.
@@ -971,13 +971,6 @@ bool SimEngine::run_window() {
   for (Shard& sh : shards_) window_phase1(sh, hi);
   for (Shard& sh : shards_) window_phase2(sh);
   return true;
-}
-
-void SimEngine::drain_windows(const Job& job) {
-  // Stops when the job is done or every queue drained (wait() then raises
-  // the deadlock).
-  while (!job.done && run_window()) {
-  }
 }
 
 }  // namespace das::sim

@@ -70,10 +70,9 @@
 // processed, and the window partition and inbox order (hence every
 // same-time tie-break) are pure functions of the event streams.
 // tests/multi_rank_sim_test.cpp pins the result per rank: makespan, trace
-// hash and event count. A threaded variant of the same protocol (one
-// thread per rank block, barrier-free phase epochs, SPSC boundary rings)
-// was deleted: on 4 ranks it ran at 0.07-0.33x the serial speed, and at
-// best 1.04x on a maximal fan-out DAG.
+// hash and event count. The ranks do not run on threads: a threaded
+// variant of this protocol measured 0.07-1.04x the serial speed on 4 ranks
+// (README, "Multi-rank simulation").
 
 #include <cstdint>
 #include <functional>
@@ -374,9 +373,8 @@ class SimEngine {
   };
 
   /// ALL mutable per-rank simulation state, one cacheline-aligned arena per
-  /// rank. Core ids inside a
-  /// shard are rank-local [0, num_cores) — the cross-rank hot path does no
-  /// rank_of_core resolution at all. Single-rank engines have exactly one
+  /// rank. Core ids inside a shard are rank-local [0, num_cores) — the
+  /// cross-rank hot path does no rank_of_core resolution at all. Single-rank engines have exactly one
   /// shard and local == global.
   struct alignas(64) Shard {
     int rank = 0;
@@ -506,8 +504,6 @@ class SimEngine {
   /// Runs one complete window [W, W + lookahead_] over all shards in rank
   /// order; returns false (running nothing) when every queue is empty.
   bool run_window();
-  /// Window loop until `job` completes or every queue drains.
-  void drain_windows(const Job& job);
   /// Delivers the deferred service notifications of every shard in rank
   /// order (event order within a shard), then clears them.
   void deliver_deferred();
