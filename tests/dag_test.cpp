@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "core/dag.hpp"
 #include "util/assert.hpp"
@@ -38,6 +40,57 @@ TEST(Dag, BuilderBasics) {
   EXPECT_EQ(d.node(a).priority, Priority::kHigh);
   EXPECT_EQ(d.node(b).priority, Priority::kLow);
   EXPECT_EQ(d.roots(), std::vector<NodeId>{a});
+}
+
+TEST(Dag, SuccessorOrderIsInsertionOrderAcrossSeals) {
+  // Edges added out of source order, then more edges (and a node) after a
+  // seal: every node's successors come out in its own insertion order, with
+  // post-seal edges after the sealed ones, both before and after the next
+  // seal.
+  Dag d;
+  for (int i = 0; i < 5; ++i) d.add_node(kT);
+  d.add_edge(3, 4, 0.3);
+  d.add_edge(0, 2, 0.1);
+  d.add_edge(1, 4);
+  d.add_edge(0, 1, 0.2);
+  d.add_edge(0, 4, 0.4);
+  using Succ = std::vector<std::pair<NodeId, double>>;
+  const auto succ = [&d](NodeId id) {
+    Succ out;
+    for (const DagEdge& e : d.successors(id)) out.emplace_back(e.to, e.delay_s);
+    return out;
+  };
+  const auto check_first = [&] {
+    EXPECT_EQ(succ(0), (Succ{{2, 0.1}, {1, 0.2}, {4, 0.4}}));
+    EXPECT_EQ(succ(1), (Succ{{4, 0.0}}));
+    EXPECT_EQ(succ(2), Succ{});
+    EXPECT_EQ(succ(3), (Succ{{4, 0.3}}));
+    EXPECT_EQ(succ(4), Succ{});
+  };
+  check_first();
+  d.seal();
+  check_first();
+
+  const NodeId late = d.add_node(kT);
+  d.add_edge(0, 3, 0.5);
+  d.add_edge(2, 3);
+  d.add_edge(1, late, 0.7);
+  d.add_edge(0, late);
+  const auto check_second = [&] {
+    EXPECT_EQ(succ(0), (Succ{{2, 0.1}, {1, 0.2}, {4, 0.4}, {3, 0.5}, {late, 0.0}}));
+    EXPECT_EQ(succ(1), (Succ{{4, 0.0}, {late, 0.7}}));
+    EXPECT_EQ(succ(2), (Succ{{3, 0.0}}));
+    EXPECT_EQ(succ(3), (Succ{{4, 0.3}}));
+    EXPECT_EQ(succ(4), Succ{});
+    EXPECT_EQ(succ(late), Succ{});
+    EXPECT_EQ(d.num_successors(0), 5u);
+    EXPECT_EQ(d.num_edges(), 9u);
+  };
+  check_second();
+  d.seal();
+  check_second();
+  EXPECT_EQ(d.predecessor_counts(), (std::vector<std::int32_t>{0, 1, 1, 2, 3, 2}));
+  EXPECT_EQ(d.root_ids(), std::vector<NodeId>{0});
 }
 
 TEST(Dag, RejectsBadEdges) {

@@ -77,6 +77,41 @@ TEST_F(NetServiceTest, DagWireRoundTripPreservesStructure) {
   }
 }
 
+TEST_F(NetServiceTest, DagWireBytesAreStable) {
+  // Pins the DAG wire format byte for byte (kDagVersion 1): length plus
+  // FNV-1a of the payload for a fixed DAG with non-default node fields,
+  // edge delays, and edges added out of source order and after a seal.
+  Dag dag;
+  TaskParams p;
+  p.p0 = 64.0;
+  p.p1 = 0.5;
+  p.p2 = -3.25;
+  const NodeId a = dag.add_node(ids_.matmul, Priority::kHigh, p);
+  const NodeId b = dag.add_node(ids_.copy, Priority::kLow, {1e6, 0.0, 0.0});
+  const NodeId c = dag.add_node(ids_.stencil, Priority::kLow, {1024.0, 2.0, 0.0});
+  const NodeId d = dag.add_node(ids_.matmul, Priority::kHigh, {32.0, 0.0, 1.0});
+  dag.node(b).rank = 1;
+  dag.node(c).affinity_core = 3;
+  dag.node(d).phase = 7;
+  dag.node(d).rank = 2;
+  dag.add_edge(b, d, 0.125);
+  dag.add_edge(a, c);
+  dag.add_edge(a, b, 2.5e-6);
+  dag.seal();
+  dag.add_edge(c, d);
+  dag.add_edge(a, d, 1e-3);
+
+  net::WireWriter w;
+  net::encode_dag(dag, w);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    h ^= static_cast<std::uint64_t>(w.data()[i]);
+    h *= 0x100000001b3ull;
+  }
+  EXPECT_EQ(w.size(), 258u);
+  EXPECT_EQ(h, 17185393357793920750ull);
+}
+
 TEST_F(NetServiceTest, MalformedDagPayloadThrows) {
   net::WireWriter w;
   w.pod(std::uint32_t{0xdeadbeef});  // wrong magic

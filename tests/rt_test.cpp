@@ -272,5 +272,70 @@ TEST_F(RtTest, StressManySmallTasksAllPolicies) {
   }
 }
 
+TEST_F(RtTest, CopiedDagKeepsClosuresAndRunsThemWithTheirContext) {
+  // A Dag copy carries its work closures; the runtime calls them with the
+  // execution place's context; a closure-less node still needs a cost model.
+  std::atomic<std::uint32_t> wide_ranks{0};
+  std::atomic<int> wide_width{0};
+  std::atomic<int> narrow_calls{0};
+  std::atomic<std::uint32_t> narrow_ranks{0};
+  std::atomic<int> narrow_width{0};
+  std::atomic<int> bad_context{0};
+  // Registered before the runtime exists: engines size the PTT at
+  // construction.
+  const TaskTypeId bare = registry_.register_type("bare");
+  Dag copy;
+  {
+    Dag dag;
+    const NodeId wide = dag.add_node(ids_.matmul, Priority::kHigh, {},
+                                     [&](const ExecContext& ctx) {
+                                       wide_ranks.fetch_or(1u << ctx.rank);
+                                       wide_width.store(ctx.width);
+                                       if (ctx.leader != 2 || ctx.core < 2 ||
+                                           ctx.core > 5)
+                                         bad_context.fetch_add(1);
+                                     });
+    const NodeId emulated = dag.add_node(ids_.matmul, Priority::kLow, {4.0});
+    // Low priority: its place is the policy's choice, so check that every
+    // participant sees a consistent context and every rank runs once.
+    const NodeId narrow = dag.add_node(ids_.copy, Priority::kLow, {},
+                                       [&](const ExecContext& ctx) {
+                                         narrow_calls.fetch_add(1);
+                                         narrow_ranks.fetch_or(1u << ctx.rank);
+                                         narrow_width.store(ctx.width);
+                                         if (ctx.rank < 0 || ctx.rank >= ctx.width ||
+                                             ctx.core < ctx.leader ||
+                                             ctx.core >= ctx.leader + ctx.width)
+                                           bad_context.fetch_add(1);
+                                       });
+    dag.add_edge(wide, emulated);
+    dag.add_edge(emulated, narrow);
+    copy = dag;
+  }
+  Runtime rt(topo_, Policy::kDamP, registry_);
+  rt.ptt().table(ids_.matmul).fill(1.0);
+  for (int i = 0; i < 64; ++i)
+    rt.ptt().table(ids_.matmul).update(ExecutionPlace{2, 4}, 0.0001);
+  rt.run(copy);
+  EXPECT_EQ(wide_width.load(), 4);
+  EXPECT_EQ(wide_ranks.load(), 0b1111u);
+  EXPECT_EQ(narrow_calls.load(), narrow_width.load());
+  EXPECT_EQ(narrow_ranks.load(), (1u << narrow_width.load()) - 1u);
+  EXPECT_EQ(bad_context.load(), 0);
+  EXPECT_EQ(rt.stats().tasks_total(), 3);
+
+  Dag no_cost;
+  no_cost.add_node(bare);
+  EXPECT_THROW(rt.submit(no_cost), PreconditionError);
+  Dag with_work;
+  std::atomic<int> bare_calls{0};
+  with_work.add_node(bare, Priority::kLow, {},
+                     [&](const ExecContext& ctx) {
+                       if (ctx.rank == 0) bare_calls.fetch_add(1);
+                     });
+  rt.run(with_work);
+  EXPECT_EQ(bare_calls.load(), 1);
+}
+
 }  // namespace
 }  // namespace das::rt
