@@ -11,13 +11,16 @@
 #include <string>
 #include <vector>
 
+#include "core/dag.hpp"
 #include "core/policy.hpp"
 #include "core/ptt.hpp"
 #include "platform/speed_model.hpp"
 #include "platform/topology.hpp"
 #include "rt/wsq.hpp"
 #include "sim/event_queue.hpp"
+#include "net/wire.hpp"
 #include "util/rng.hpp"
+#include "workloads/synthetic_dag.hpp"
 
 namespace {
 
@@ -126,6 +129,41 @@ void BM_SpeedScenarioQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpeedScenarioQuery);
+
+// DAG ingest: a layered synthetic DAG (4 tasks per layer, each layer's
+// critical task releases the next layer) built and sealed, then the same
+// DAG through the wire codec. Arg = node count; items = nodes.
+workloads::SyntheticDagSpec layered_spec(benchmark::State& state) {
+  workloads::SyntheticDagSpec spec;
+  spec.type = 0;
+  spec.parallelism = 4;
+  spec.total_tasks = static_cast<int>(state.range(0));
+  spec.params.p0 = 64.0;
+  return spec;
+}
+
+void BM_DagBuildSeal(benchmark::State& state) {
+  const workloads::SyntheticDagSpec spec = layered_spec(state);
+  for (auto _ : state) {
+    Dag dag = workloads::make_synthetic_dag(spec);
+    benchmark::DoNotOptimize(dag.num_edges());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_DagBuildSeal)->Arg(320)->Arg(3000);
+
+void BM_DagWireRoundTrip(benchmark::State& state) {
+  const Dag dag = workloads::make_synthetic_dag(layered_spec(state));
+  for (auto _ : state) {
+    net::WireWriter w;
+    net::encode_dag(dag, w);
+    net::WireReader r(w.data(), w.size());
+    const Dag back = net::decode_dag(r);
+    benchmark::DoNotOptimize(back.num_edges());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_DagWireRoundTrip)->Arg(320)->Arg(3000);
 
 }  // namespace
 

@@ -7,36 +7,29 @@
 
 namespace das {
 
-std::size_t Dag::SuccessorRange::size() const {
-  std::size_t n = static_cast<std::size_t>(seg_end_ - seg_);
-  for (std::int32_t c = chain_; c >= 0;
-       c = (*pool_)[static_cast<std::size_t>(c)].next)
-    ++n;
-  return n;
+namespace {
+constexpr std::size_t idx(std::int32_t i) {
+  return static_cast<std::size_t>(i);
 }
+}  // namespace
 
-const DagEdge& Dag::SuccessorRange::operator[](std::size_t i) const {
-  const std::size_t seg_len = static_cast<std::size_t>(seg_end_ - seg_);
-  if (i < seg_len) return seg_[i];
-  i -= seg_len;
-  std::int32_t c = chain_;
-  while (i > 0 && c >= 0) {
-    c = (*pool_)[static_cast<std::size_t>(c)].next;
-    --i;
-  }
-  DAS_CHECK_MSG(c >= 0, "successor index out of range");
-  return (*pool_)[static_cast<std::size_t>(c)].edge;
+void Dag::reserve(std::size_t nodes, std::size_t edges) {
+  nodes_.reserve(nodes);
+  staged_.reserve(edges);
 }
 
 NodeId Dag::add_node(TaskTypeId type, Priority priority, TaskParams params,
                      WorkFn work) {
   DAS_CHECK(type != kInvalidTaskType);
-  DagNode n;
-  n.type = type;
-  n.priority = priority;
-  n.params = params;
-  n.work = std::move(work);
-  nodes_.push_back(std::move(n));
+  nodes_.push_back(DagNode{type, priority, params});
+  if (work) {
+    // The closure table is sized lazily, to the node array's capacity, the
+    // first time a node brings a closure.
+    if (work_.capacity() < nodes_.capacity()) work_.reserve(nodes_.capacity());
+    work_.resize(nodes_.size());
+    work_.back() = std::move(work);
+  }
+  sealed_ = false;
   return static_cast<NodeId>(nodes_.size()) - 1;
 }
 
@@ -45,73 +38,47 @@ void Dag::add_edge(NodeId from, NodeId to, double delay_s) {
   DAS_CHECK(to >= 0 && to < num_nodes());
   DAS_CHECK_MSG(from != to, "self-edges are not allowed");
   DAS_CHECK(delay_s >= 0.0);
-  if (chain_head_.size() < nodes_.size()) {
-    chain_head_.resize(nodes_.size(), -1);
-    chain_tail_.resize(nodes_.size(), -1);
-  }
-  const std::int32_t cell = static_cast<std::int32_t>(pool_.size());
-  pool_.push_back(EdgeCell{DagEdge{to, delay_s}, -1});
-  const auto f = static_cast<std::size_t>(from);
-  if (chain_tail_[f] < 0) {
-    chain_head_[f] = cell;
-  } else {
-    pool_[static_cast<std::size_t>(chain_tail_[f])].next = cell;
-  }
-  chain_tail_[f] = cell;
-  nodes_[static_cast<std::size_t>(to)].num_predecessors++;
-  if (preds_counts_.size() < nodes_.size()) preds_counts_.resize(nodes_.size(), 0);
-  preds_counts_[static_cast<std::size_t>(to)]++;
+  staged_.push_back(StagedEdge{from, to, delay_s});
+  nodes_[idx(to)].num_predecessors++;
   num_edges_++;
+  sealed_ = false;
 }
 
-Dag::SuccessorRange Dag::successors(NodeId id) const {
-  DAS_ASSERT(id >= 0 && id < num_nodes());
-  const auto i = static_cast<std::size_t>(id);
-  const DagEdge* seg = nullptr;
-  const DagEdge* seg_end = nullptr;
-  if (i + 1 < csr_off_.size()) {
-    seg = csr_edges_.data() + csr_off_[i];
-    seg_end = csr_edges_.data() + csr_off_[i + 1];
-  }
-  const std::int32_t chain = i < chain_head_.size() ? chain_head_[i] : -1;
-  return SuccessorRange(seg, seg_end, &pool_, chain);
-}
-
-void Dag::seal() const {
+void Dag::fold() const {
   const std::size_t n = nodes_.size();
-  if (pool_.empty() && csr_off_.size() == n + 1) return;
+  // Nodes added since the last seal have no sealed edges.
+  const std::size_t sealed_n = csr_off_.empty() ? 0 : csr_off_.size() - 1;
 
-  std::vector<DagEdge> edges;
-  edges.reserve(num_edges_);
-  std::vector<std::int32_t> off(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    off[i] = static_cast<std::int32_t>(edges.size());
-    if (i + 1 < csr_off_.size()) {
-      for (std::int32_t k = csr_off_[i]; k < csr_off_[i + 1]; ++k)
-        edges.push_back(csr_edges_[static_cast<std::size_t>(k)]);
-    }
-    if (i < chain_head_.size()) {
-      for (std::int32_t c = chain_head_[i]; c >= 0;
-           c = pool_[static_cast<std::size_t>(c)].next)
-        edges.push_back(pool_[static_cast<std::size_t>(c)].edge);
-    }
-  }
-  off[n] = static_cast<std::int32_t>(edges.size());
-  DAS_ASSERT(edges.size() == num_edges_);
+  // Stable counting sort by source. off[i + 2] first counts node i's edges;
+  // the prefix sum turns off[i + 1] into node i's first slot, and placing an
+  // edge advances it, so after the scatter off[i + 1] is node i's end —
+  // node i+1's start — and off[0..n] is the CSR offset array.
+  std::vector<std::int32_t> off(n + 2, 0);
+  for (std::size_t i = 0; i < sealed_n; ++i)
+    off[i + 2] = csr_off_[i + 1] - csr_off_[i];
+  for (const StagedEdge& e : staged_) ++off[idx(e.from) + 2];
+  for (std::size_t i = 2; i < n + 2; ++i) off[i] += off[i - 1];
+  std::vector<DagEdge> edges(num_edges_);
+  // Sealed edges first, then the staged ones in insertion order.
+  for (std::size_t i = 0; i < sealed_n; ++i)
+    for (std::int32_t k = csr_off_[i]; k < csr_off_[i + 1]; ++k)
+      edges[idx(off[i + 1]++)] = csr_edges_[idx(k)];
+  for (const StagedEdge& e : staged_)
+    edges[idx(off[idx(e.from) + 1]++)] = DagEdge{e.to, e.delay_s};
+  off.pop_back();
+  DAS_ASSERT(static_cast<std::size_t>(off[n]) == num_edges_);
 
   csr_edges_ = std::move(edges);
   csr_off_ = std::move(off);
-  // Release the staging pool outright (swap, not clear): after a seal the
+  // Release the staging array outright (swap, not clear): after a seal the
   // arena owns every edge, and steady-state DAG reuse should not pin a
   // second copy's worth of memory.
-  std::vector<EdgeCell>().swap(pool_);
-  std::vector<std::int32_t>().swap(chain_head_);
-  std::vector<std::int32_t>().swap(chain_tail_);
+  std::vector<StagedEdge>().swap(staged_);
 
-  // Snapshot the submit metadata in one pass, so engines neither revalidate
+  // Snapshot the submit metadata in one sweep, so engines neither revalidate
   // nor rescan the node array per submit (K-means resubmits the same sealed
   // DAG every iteration and pays this once).
-  preds_counts_.resize(n, 0);
+  preds_counts_.resize(n);
   roots_cache_.clear();
   distinct_types_.clear();
   min_rank_ = n > 0 ? nodes_[0].rank : 0;
@@ -119,18 +86,11 @@ void Dag::seal() const {
   min_cross_rank_delay_ = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < n; ++i) {
     const DagNode& node = nodes_[i];
+    preds_counts_[i] = node.num_predecessors;
     if (node.num_predecessors == 0)
       roots_cache_.push_back(static_cast<NodeId>(i));
     if (node.rank < min_rank_) min_rank_ = node.rank;
     if (node.rank > max_rank_) max_rank_ = node.rank;
-    // Conservative DES lookahead (min_cross_rank_delay()): one pass over the
-    // freshly compacted CSR spans, amortized into the metadata sweep.
-    for (std::int32_t k = csr_off_[i]; k < csr_off_[i + 1]; ++k) {
-      const DagEdge& e = csr_edges_[static_cast<std::size_t>(k)];
-      if (nodes_[static_cast<std::size_t>(e.to)].rank != node.rank &&
-          e.delay_s < min_cross_rank_delay_)
-        min_cross_rank_delay_ = e.delay_s;
-    }
     bool seen = false;
     for (const TaskTypeId t : distinct_types_)
       if (t == node.type) {
@@ -139,6 +99,20 @@ void Dag::seal() const {
       }
     if (!seen) distinct_types_.push_back(node.type);
   }
+  // Conservative DES lookahead (min_cross_rank_delay()): only a multi-rank
+  // DAG has cross-rank edges to scan.
+  if (min_rank_ != max_rank_) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const int rank = nodes_[i].rank;
+      for (std::int32_t k = csr_off_[i]; k < csr_off_[i + 1]; ++k) {
+        const DagEdge& e = csr_edges_[idx(k)];
+        if (nodes_[idx(e.to)].rank != rank &&
+            e.delay_s < min_cross_rank_delay_)
+          min_cross_rank_delay_ = e.delay_s;
+      }
+    }
+  }
+  sealed_ = true;
 }
 
 std::vector<NodeId> Dag::roots() const {

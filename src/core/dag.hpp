@@ -7,22 +7,30 @@
 // cost-model parameters, and — for the real-thread engine — a work closure
 // executed cooperatively by all participants of the chosen execution place.
 //
-// Edge storage is a CSR adjacency arena, not per-node vectors: add_edge
-// appends to a chained staging pool, and seal() compacts every staged edge
-// into (offsets, one contiguous edge array) preserving per-node insertion
-// order. Engines seal at submit, so the release fan-out on the completion
-// hot path walks a flat span — no pointer-chasing through a million little
-// vectors, and a million-node DAG costs two allocations instead of a
-// million. Edges added AFTER a seal land back in the staging pool (the
-// overflow region) and are still iterated by successors(), so the dynamic
-// add_edge API is unchanged; the next seal() folds them in. seal() is
-// logically const (engines hold const Dag&) but not thread-safe while it
-// has staged edges to compact — every workload builder returns sealed DAGs,
-// which makes the engine-side seal-on-submit a read-only no-op.
+// Storage is flat arrays throughout. Nodes are plain, trivially copyable
+// records; work closures live in a side table that exists only once some
+// node has one (DES-only DAGs never allocate it), read through work(id).
+// add_edge appends (from, to, delay) to one staging array, and seal() moves
+// the staged edges into a CSR arena — offsets plus one contiguous edge array
+// — with a stable counting sort by source, so each node's out-edges keep
+// their insertion order. Builders that know their counts call reserve()
+// first and then grow nothing.
+//
+// OVERFLOW. Edges added after a seal are staged again; the next seal()
+// appends them after the node's sealed edges. successors() returns a span
+// into the arena and folds staged edges in first, so the dynamic add_edge
+// API is unchanged. seal() (and so successors() on a DAG with staged edges
+// or nodes added since the last seal) is logically const — engines hold
+// const Dag& — but not thread-safe while it has work to do. Every workload
+// builder returns sealed DAGs and engines seal at submit, so concurrent
+// successors() calls on a submitted DAG only read.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/task_type.hpp"
@@ -63,83 +71,24 @@ struct DagNode {
   TaskTypeId type = kInvalidTaskType;
   Priority priority = Priority::kLow;
   TaskParams params;
-  WorkFn work;                  ///< may be empty (DES-only DAGs)
   int num_predecessors = 0;     ///< maintained by add_edge
   int rank = 0;                 ///< scheduling domain (MPI-rank analogue)
   int affinity_core = -1;       ///< waking-core hint; -1 = released-by core
   int phase = 0;                ///< stats phase tag (application iteration)
 };
+static_assert(std::is_trivially_copyable_v<DagNode>);
+
+class Dag;
+namespace net {
+class WireReader;
+Dag decode_dag(WireReader& r);
+}  // namespace net
 
 class Dag {
-  struct EdgeCell {
-    DagEdge edge;
-    std::int32_t next = -1;  ///< staging-chain link within pool_
-  };
-
  public:
-  /// Forward range over one node's out-edges: the sealed CSR span first,
-  /// then any edges staged after the seal (insertion order throughout).
-  /// For a sealed DAG this iterates a contiguous array.
-  class SuccessorRange {
-   public:
-    class iterator {
-     public:
-      const DagEdge& operator*() const { return *p_; }
-      const DagEdge* operator->() const { return p_; }
-      iterator& operator++() {
-        ++p_;
-        if (p_ == seg_end_) advance_segment();
-        return *this;
-      }
-      friend bool operator==(const iterator& a, const iterator& b) {
-        return a.p_ == b.p_;
-      }
-      friend bool operator!=(const iterator& a, const iterator& b) {
-        return a.p_ != b.p_;
-      }
-
-     private:
-      friend class SuccessorRange;
-      iterator(const DagEdge* p, const DagEdge* seg_end,
-               const std::vector<EdgeCell>* pool, std::int32_t chain)
-          : p_(p), seg_end_(seg_end), pool_(pool), chain_(chain) {
-        if (p_ == seg_end_) advance_segment();
-      }
-      void advance_segment() {
-        if (chain_ < 0) {
-          p_ = seg_end_ = nullptr;  // end sentinel
-          return;
-        }
-        const EdgeCell& c = (*pool_)[static_cast<std::size_t>(chain_)];
-        p_ = &c.edge;
-        seg_end_ = p_ + 1;
-        chain_ = c.next;
-      }
-      const DagEdge* p_;
-      const DagEdge* seg_end_;
-      const std::vector<EdgeCell>* pool_;
-      std::int32_t chain_;
-    };
-
-    iterator begin() const { return iterator(seg_, seg_end_, pool_, chain_); }
-    iterator end() const { return iterator(nullptr, nullptr, pool_, -1); }
-    bool empty() const { return seg_ == seg_end_ && chain_ < 0; }
-    std::size_t size() const;
-    /// Linear in the index past the CSR span — convenience for tests, not
-    /// for hot loops.
-    const DagEdge& operator[](std::size_t i) const;
-
-   private:
-    friend class Dag;
-    SuccessorRange(const DagEdge* seg, const DagEdge* seg_end,
-                   const std::vector<EdgeCell>* pool, std::int32_t chain)
-        : seg_(seg), seg_end_(seg_end), pool_(pool), chain_(chain) {}
-    const DagEdge* seg_;
-    const DagEdge* seg_end_;
-    const std::vector<EdgeCell>* pool_;
-    std::int32_t chain_;
-  };
-
+  /// Pre-sizes the node and staged-edge arrays (and the closure table, once
+  /// a closure arrives) for a builder that knows its counts.
+  void reserve(std::size_t nodes, std::size_t edges);
   NodeId add_node(TaskTypeId type, Priority priority = Priority::kLow,
                   TaskParams params = {}, WorkFn work = {});
   /// Adds the dependency edge from -> to. Rejects self-edges.
@@ -157,36 +106,52 @@ class Dag {
     DAS_CHECK(id >= 0 && id < num_nodes());
     return nodes_[static_cast<std::size_t>(id)];
   }
+  /// The node's work closure, or nullptr when it has none (DES-only nodes).
+  /// The pointer stays valid until the next add_node().
+  const WorkFn* work(NodeId id) const {
+    DAS_CHECK(id >= 0 && id < num_nodes());
+    const auto i = static_cast<std::size_t>(id);
+    return i < work_.size() && work_[i] ? &work_[i] : nullptr;
+  }
 
-  /// The node's out-edges in insertion order.
-  SuccessorRange successors(NodeId id) const;
-  /// successors(id).size() without building the range.
+  /// The node's out-edges in insertion order. Folds staged edges first (a
+  /// seal(), under its thread-safety note); on a sealed DAG this is two
+  /// loads and a span.
+  std::span<const DagEdge> successors(NodeId id) const {
+    DAS_ASSERT(id >= 0 && id < num_nodes());
+    seal();
+    const auto i = static_cast<std::size_t>(id);
+    return {csr_edges_.data() + csr_off_[i],
+            csr_edges_.data() + csr_off_[i + 1]};
+  }
   std::size_t num_successors(NodeId id) const { return successors(id).size(); }
 
-  /// Compacts every staged edge into the CSR arena (idempotent; a no-op
-  /// when nothing was staged since the last seal). Engines call this at
-  /// submit; not thread-safe while staged edges exist (see header comment).
-  /// Also snapshots the submit metadata below, so engines validate and
-  /// release a million-node DAG without rescanning every node per submit.
-  void seal() const;
+  /// Moves every staged edge into the CSR arena (idempotent; a no-op when
+  /// nothing changed since the last seal). Engines call this at submit; not
+  /// thread-safe while it has work to do (see header comment). Also
+  /// snapshots the submit metadata below, so engines validate and release a
+  /// million-node DAG without rescanning every node per submit.
+  void seal() const {
+    if (!sealed_) [[unlikely]] fold();
+  }
 
   // --- sealed metadata (valid after seal(); snapshots node fields as of
   // the seal — post-seal mutations of rank/type are not re-reflected) -----
 
   /// Per-node predecessor counts, contiguous (engines memcpy this into a
-  /// job's countdown array). Maintained incrementally by add_edge.
+  /// job's countdown array).
   const std::vector<std::int32_t>& predecessor_counts() const {
-    DAS_ASSERT(csr_off_.size() == nodes_.size() + 1);
+    DAS_ASSERT(sealed_);
     return preds_counts_;
   }
   /// Nodes with no predecessors, ascending.
   const std::vector<NodeId>& root_ids() const {
-    DAS_ASSERT(csr_off_.size() == nodes_.size() + 1);
+    DAS_ASSERT(sealed_);
     return roots_cache_;
   }
   /// Every distinct task type, in first-appearance order.
   const std::vector<TaskTypeId>& distinct_types() const {
-    DAS_ASSERT(csr_off_.size() == nodes_.size() + 1);
+    DAS_ASSERT(sealed_);
     return distinct_types_;
   }
   int min_node_rank() const { return min_rank_; }
@@ -197,7 +162,7 @@ class Dag {
   /// may simulate a window of this width before exchanging cross-rank
   /// releases (sim/engine.hpp).
   double min_cross_rank_delay() const {
-    DAS_ASSERT(csr_off_.size() == nodes_.size() + 1);
+    DAS_ASSERT(sealed_);
     return min_cross_rank_delay_;
   }
 
@@ -214,21 +179,33 @@ class Dag {
   double dag_parallelism() const;
 
  private:
+  // The wire decoder fills nodes and staged edges in bulk: a node's edges
+  // arrive before the nodes they point to, which add_edge would reject. It
+  // range-checks them against the declared node count instead.
+  friend Dag net::decode_dag(net::WireReader& r);
+
+  struct StagedEdge {
+    NodeId from;
+    NodeId to;
+    double delay_s;
+  };
+
+  // The seal itself, kept out of line: successors() sits on the engines'
+  // per-task completion path and must stay a flag test there.
+  void fold() const;
+
   std::vector<DagNode> nodes_;
+  std::vector<WorkFn> work_;  // per node, empty until a node has a closure
   std::size_t num_edges_ = 0;
-  // Staging pool: per-node chains of edges not yet folded into the CSR
-  // (freshly added, or added after the last seal — the overflow region).
-  // Mutable with the CSR members so seal() can run behind const engine
+  // Everything below is mutable so seal() can run behind const engine
   // references; see the thread-safety note in the header comment.
-  mutable std::vector<EdgeCell> pool_;
-  mutable std::vector<std::int32_t> chain_head_;  // per node; -1 = none
-  mutable std::vector<std::int32_t> chain_tail_;
+  mutable bool sealed_ = false;
+  // Edges not yet in the CSR arena, in insertion order.
+  mutable std::vector<StagedEdge> staged_;
   // Sealed CSR arena: csr_off_ has num_nodes()+1 offsets into csr_edges_.
   mutable std::vector<std::int32_t> csr_off_;
   mutable std::vector<DagEdge> csr_edges_;
-  // Sealed metadata (see accessors). preds_counts_ is maintained eagerly by
-  // add_edge (and length-adjusted by seal); the rest are seal-time
-  // snapshots.
+  // Seal-time metadata snapshots (see accessors).
   mutable std::vector<std::int32_t> preds_counts_;
   mutable std::vector<NodeId> roots_cache_;
   mutable std::vector<TaskTypeId> distinct_types_;

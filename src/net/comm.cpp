@@ -13,14 +13,18 @@ constexpr int kTagBcast = -2;
 int Comm::size() const { return world_->size(); }
 
 void Comm::send(int dst, int tag, const void* data, std::size_t bytes) {
+  DAS_CHECK(bytes == 0 || data != nullptr);
+  const auto* p = static_cast<const std::byte*>(data);
+  send(dst, tag, std::vector<std::byte>(p, p + bytes));
+}
+
+void Comm::send(int dst, int tag, std::vector<std::byte>&& payload) {
   DAS_CHECK(dst >= 0 && dst < size());
   DAS_CHECK_MSG(tag >= 0, "negative tags are reserved for collectives");
-  DAS_CHECK(bytes == 0 || data != nullptr);
   Message m;
   m.src = rank_;
   m.tag = tag;
-  m.payload.resize(bytes);
-  if (bytes > 0) std::memcpy(m.payload.data(), data, bytes);
+  m.payload = std::move(payload);
   world_->mailbox(dst).deliver(std::move(m));
 }
 

@@ -3,6 +3,10 @@
 // (the library's MPI substitute — see DESIGN.md §1).
 //
 // User tags must be >= 0; negative tags are reserved for the collectives.
+//
+// A message owns its payload. send(dst, tag, data, bytes) copies the bytes;
+// send(dst, tag, std::vector<std::byte>&&) moves an already-built buffer
+// (an encoded service request or reply) into the mailbox without a copy.
 
 #include <cstddef>
 #include <cstring>
@@ -26,6 +30,10 @@ class Comm {
   /// Copies `bytes` of `data` into the destination mailbox and returns
   /// (buffered send: never blocks on the receiver).
   void send(int dst, int tag, const void* data, std::size_t bytes);
+  /// Moves `payload` into the destination mailbox as the message body: no
+  /// copy, for senders that encoded into a buffer they no longer need
+  /// (WireWriter::take()).
+  void send(int dst, int tag, std::vector<std::byte>&& payload);
   /// Blocks until the matching message arrives; its payload size must be
   /// exactly `bytes`.
   void recv(int src, int tag, void* data, std::size_t bytes);

@@ -39,8 +39,7 @@ WireRunResult to_wire(const RunResult& r) {
 }
 
 void reply(Comm& comm, int dst, WireWriter w) {
-  const std::vector<std::byte> bytes = w.take();
-  comm.send(dst, kTagServiceReply, bytes.data(), bytes.size());
+  comm.send(dst, kTagServiceReply, w.take());
 }
 
 // Per-client server-side bookkeeping: liveness, the idempotency-token map,
@@ -198,7 +197,7 @@ int ServiceClient::open_session(const TenantConfig& cfg) {
   WireWriter w;
   w.pod(static_cast<std::uint8_t>(Req::kOpenSession));
   encode_tenant_config(cfg, w);
-  comm_.send(server_, kTagServiceRequest, w.data(), w.size());
+  comm_.send(server_, kTagServiceRequest, w.take());
   // Synchronous request/reply against a live server; bounded client-side
   // variants exist only where a reply can legitimately not come (wait_for).
   return comm_.recv_value<std::int32_t>(  // daslint: allow(unbounded-wait)
@@ -218,7 +217,7 @@ JobId ServiceClient::resubmit(const Dag& dag, const SubmitOptions& opts,
   w.pod(token);
   encode_submit_options(opts, w);
   encode_dag(dag, w);
-  comm_.send(server_, kTagServiceRequest, w.data(), w.size());
+  comm_.send(server_, kTagServiceRequest, w.take());
   return comm_.recv_value<JobId>(  // daslint: allow(unbounded-wait)
       server_, kTagServiceReply);
 }
@@ -227,7 +226,7 @@ WireRunResult ServiceClient::wait(JobId id) {
   WireWriter w;
   w.pod(static_cast<std::uint8_t>(Req::kWait));
   w.pod(id);
-  comm_.send(server_, kTagServiceRequest, w.data(), w.size());
+  comm_.send(server_, kTagServiceRequest, w.take());
   const Message msg =
       comm_.recv_msg(server_, kTagServiceReply);  // daslint: allow(unbounded-wait)
   WireReader r(msg.payload);
@@ -240,7 +239,7 @@ std::optional<WireRunResult> ServiceClient::wait_for(JobId id,
   w.pod(static_cast<std::uint8_t>(Req::kWaitFor));
   w.pod(id);
   w.pod(timeout_s);
-  comm_.send(server_, kTagServiceRequest, w.data(), w.size());
+  comm_.send(server_, kTagServiceRequest, w.take());
   // The server bounds the engine wait; its reply always comes, so this
   // receive is request/reply like the others.
   const Message msg =
@@ -253,7 +252,7 @@ std::optional<WireRunResult> ServiceClient::wait_for(JobId id,
 void ServiceClient::ping() {
   WireWriter w;
   w.pod(static_cast<std::uint8_t>(Req::kPing));
-  comm_.send(server_, kTagServiceRequest, w.data(), w.size());
+  comm_.send(server_, kTagServiceRequest, w.take());
   (void)comm_.recv_value<std::uint8_t>(  // daslint: allow(unbounded-wait)
       server_, kTagServiceReply);
 }
@@ -261,7 +260,7 @@ void ServiceClient::ping() {
 void ServiceClient::bye() {
   WireWriter w;
   w.pod(static_cast<std::uint8_t>(Req::kBye));
-  comm_.send(server_, kTagServiceRequest, w.data(), w.size());
+  comm_.send(server_, kTagServiceRequest, w.take());
 }
 
 }  // namespace das::net

@@ -1,5 +1,7 @@
 #include "net/wire.hpp"
 
+#include <span>
+
 namespace das::net {
 
 namespace {
@@ -7,10 +9,26 @@ namespace {
 constexpr std::uint32_t kDagMagic = 0x44414731;  // "DAG1"
 constexpr std::uint16_t kDagVersion = 1;
 
+// Encoded sizes of one node record (type, priority, p0..p2, rank, affinity,
+// phase, out-degree) and of one edge (target, delay).
+constexpr std::size_t kNodeBytes =
+    sizeof(TaskTypeId) + sizeof(std::uint8_t) + 3 * sizeof(double) +
+    3 * sizeof(std::int32_t) + sizeof(std::uint32_t);
+constexpr std::size_t kEdgeBytes = sizeof(NodeId) + sizeof(double);
+
+template <typename T>
+T get(const std::byte*& at) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  T v;
+  std::memcpy(&v, at, sizeof(T));
+  at += sizeof(T);
+  return v;
+}
+
 }  // namespace
 
 void encode_dag(const Dag& dag, WireWriter& w) {
-  dag.seal();  // folds staged edges so successors() walks are contiguous
+  dag.seal();  // folds staged edges so successors() are contiguous spans
   w.pod(kDagMagic);
   w.pod(kDagVersion);
   const int n = dag.num_nodes();
@@ -18,6 +36,7 @@ void encode_dag(const Dag& dag, WireWriter& w) {
   w.pod(static_cast<std::uint64_t>(dag.num_edges()));
   for (NodeId id = 0; id < n; ++id) {
     const DagNode& node = dag.node(id);
+    const std::span<const DagEdge> out = dag.successors(id);
     w.pod(node.type);
     w.pod(static_cast<std::uint8_t>(node.priority));
     w.pod(node.params.p0);
@@ -26,8 +45,8 @@ void encode_dag(const Dag& dag, WireWriter& w) {
     w.pod(static_cast<std::int32_t>(node.rank));
     w.pod(static_cast<std::int32_t>(node.affinity_core));
     w.pod(static_cast<std::int32_t>(node.phase));
-    w.pod(static_cast<std::uint32_t>(dag.num_successors(id)));
-    for (const DagEdge& e : dag.successors(id)) {
+    w.pod(static_cast<std::uint32_t>(out.size()));
+    for (const DagEdge& e : out) {
       w.pod(e.to);
       w.pod(e.delay_s);
     }
@@ -42,42 +61,53 @@ Dag decode_dag(WireReader& r) {
   const auto n = r.pod<std::int32_t>();
   DAS_CHECK_MSG(n >= 0, "decode_dag: negative node count");
   const auto declared_edges = r.pod<std::uint64_t>();
+  // Both counts size allocations below, so both are bounded by the bytes
+  // actually present: n nodes and declared_edges edges need at least this
+  // much payload, whatever the counts claim.
+  const std::size_t node_bytes = static_cast<std::size_t>(n) * kNodeBytes;
+  DAS_CHECK_MSG(node_bytes <= r.remaining(),
+                "decode_dag: node count exceeds the payload");
+  DAS_CHECK_MSG(declared_edges <= (r.remaining() - node_bytes) / kEdgeBytes,
+                "decode_dag: edge count exceeds the payload");
+
+  // Nodes are decoded in place and edges staged in source order, as
+  // add_node/add_edge would; edges may point at nodes not yet read, so they
+  // are range-checked against n here rather than by add_edge.
   Dag dag;
-  // Two passes are unnecessary: node ids are dense [0, n) by construction,
-  // so edges can reference forward nodes only after every node exists.
-  // Stage the edge lists, add all nodes, then add edges.
-  struct PendingEdge {
-    NodeId from, to;
-    double delay_s;
-  };
-  std::vector<PendingEdge> edges;
-  edges.reserve(static_cast<std::size_t>(declared_edges));
+  dag.nodes_.resize(static_cast<std::size_t>(n));
+  dag.staged_.reserve(static_cast<std::size_t>(declared_edges));
   for (NodeId id = 0; id < n; ++id) {
-    const auto type = r.pod<TaskTypeId>();
-    const auto priority = r.pod<std::uint8_t>();
+    const std::byte* p = r.consume(kNodeBytes);
+    DagNode& node = dag.nodes_[static_cast<std::size_t>(id)];
+    node.type = get<TaskTypeId>(p);
+    DAS_CHECK_MSG(node.type != kInvalidTaskType,
+                  "decode_dag: invalid task type");
+    const auto priority = get<std::uint8_t>(p);
     DAS_CHECK_MSG(priority <= 1, "decode_dag: bad priority");
-    TaskParams params;
-    params.p0 = r.pod<double>();
-    params.p1 = r.pod<double>();
-    params.p2 = r.pod<double>();
-    const NodeId added =
-        dag.add_node(type, static_cast<Priority>(priority), params);
-    DAS_CHECK(added == id);
-    DagNode& node = dag.node(added);
-    node.rank = r.pod<std::int32_t>();
-    node.affinity_core = r.pod<std::int32_t>();
-    node.phase = r.pod<std::int32_t>();
-    const auto degree = r.pod<std::uint32_t>();
+    node.priority = static_cast<Priority>(priority);
+    node.params.p0 = get<double>(p);
+    node.params.p1 = get<double>(p);
+    node.params.p2 = get<double>(p);
+    node.rank = get<std::int32_t>(p);
+    node.affinity_core = get<std::int32_t>(p);
+    node.phase = get<std::int32_t>(p);
+    const auto degree = get<std::uint32_t>(p);
+    DAS_CHECK_MSG(degree <= declared_edges - dag.staged_.size(),
+                  "decode_dag: edge count mismatch");
+    p = r.consume(degree * kEdgeBytes);
     for (std::uint32_t j = 0; j < degree; ++j) {
-      const auto to = r.pod<NodeId>();
-      const auto delay_s = r.pod<double>();
+      const auto to = get<NodeId>(p);
+      const auto delay_s = get<double>(p);
       DAS_CHECK_MSG(to >= 0 && to < n, "decode_dag: edge target out of range");
-      edges.push_back(PendingEdge{id, to, delay_s});
+      DAS_CHECK_MSG(to != id, "decode_dag: self-edge");
+      DAS_CHECK_MSG(delay_s >= 0.0, "decode_dag: negative edge delay");
+      dag.staged_.push_back(Dag::StagedEdge{id, to, delay_s});
+      dag.nodes_[static_cast<std::size_t>(to)].num_predecessors++;
     }
   }
-  DAS_CHECK_MSG(edges.size() == declared_edges,
+  DAS_CHECK_MSG(dag.staged_.size() == declared_edges,
                 "decode_dag: edge count mismatch");
-  for (const PendingEdge& e : edges) dag.add_edge(e.from, e.to, e.delay_s);
+  dag.num_edges_ = dag.staged_.size();
   dag.seal();
   return dag;
 }

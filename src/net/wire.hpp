@@ -20,7 +20,12 @@
 //
 // Decode validates structure (magic, version, bounds) via DAS_CHECK and is
 // tolerant of trailing bytes — payloads may be framed inside larger
-// messages.
+// messages. decode_dag sizes its node and edge arrays from the header's
+// counts only after checking that the remaining payload can hold that many
+// records at their fixed encoded sizes, so a hostile count throws
+// PreconditionError instead of allocating. Senders hand an encoded buffer
+// to Comm::send(dst, tag, WireWriter::take()), which moves it into the
+// mailbox instead of copying it.
 
 #include <cstddef>
 #include <cstdint>
@@ -84,6 +89,15 @@ class WireReader {
     return s;
   }
 
+  /// Consumes the next `n` bytes and returns where they start: decoders
+  /// bounds-check a fixed-size record once and read its fields directly.
+  const std::byte* consume(std::size_t n) {
+    DAS_CHECK_MSG(n <= size_ - at_, "wire: truncated payload");
+    const std::byte* p = data_ + at_;
+    at_ += n;
+    return p;
+  }
+
   std::size_t remaining() const { return size_ - at_; }
 
  private:
@@ -96,7 +110,8 @@ class WireReader {
 
 /// Appends `dag` (sealed or not; encode seals it) to `w`.
 void encode_dag(const Dag& dag, WireWriter& w);
-/// Decodes one DAG; throws PreconditionError on a malformed payload.
+/// Decodes one DAG, sealed; throws PreconditionError on a malformed payload,
+/// including node or edge counts the payload's size cannot back.
 Dag decode_dag(WireReader& r);
 
 // --- service payloads -----------------------------------------------------

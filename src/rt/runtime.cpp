@@ -101,7 +101,8 @@ JobId Runtime::submit(const Dag& dag) {
     const DagNode& n = dag.node(i);
     DAS_CHECK_MSG(n.rank == 0, "the threaded runtime executes single-rank DAGs"
                                " (distributed DAGs run via das::net)");
-    DAS_CHECK_MSG(n.work != nullptr || registry_->info(n.type).cost != nullptr ||
+    DAS_CHECK_MSG(dag.work(i) != nullptr ||
+                      registry_->info(n.type).cost != nullptr ||
                       registry_->info(n.type).expr.kind != CostExpr::Kind::kCallable,
                   "node without work closure needs a cost model to emulate");
   }
@@ -118,6 +119,7 @@ JobId Runtime::submit(const Dag& dag) {
   for (NodeId i = 0; i < dag.num_nodes(); ++i) {
     TaskRec& r = job->records[static_cast<std::size_t>(i)];
     r.node = &dag.node(i);
+    r.work = dag.work(i);
     r.id = i;
     r.job = job.get();
     r.preds.store(r.node->num_predecessors, std::memory_order_relaxed);

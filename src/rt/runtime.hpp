@@ -185,6 +185,7 @@ class Runtime {
 
   struct TaskRec {
     const DagNode* node = nullptr;
+    const WorkFn* work = nullptr;   // the node's closure; null = emulate cost
     NodeId id = kInvalidNode;
     Job* job = nullptr;             // owning job (set before publication)
     std::atomic<int> preds{0};
@@ -192,7 +193,6 @@ class Runtime {
     ExecutionPlace place{};
     std::atomic<int> arrivals{0};
     std::atomic<int> departures{0};
-    std::atomic<std::int64_t> start_ns{0};
     std::atomic<std::int64_t> max_busy_ns{0};  ///< slowest participant
     // Intrusive channel hook (allocation-free queue membership). A task is
     // in at most one wake-up channel at a time (inbox OR feeder), and by

@@ -300,8 +300,9 @@ MpscQueue::Node* Runtime::wide_hooks(Job* job, NodeId id) {
 std::int64_t Runtime::run_work(int core, TaskRec* task, int rank) {
   const DagNode& node = *task->node;
   const std::int64_t t0 = now_ns();
-  if (node.work) {
-    node.work(ExecContext{rank, task->place.width, task->place.leader, core});
+  if (task->work != nullptr) {
+    (*task->work)(
+        ExecContext{rank, task->place.width, task->place.leader, core});
   } else {
     // DES-style node: emulate the cost model's native-speed duration, which
     // the throttle below then stretches by the core's scenario speed.
@@ -347,13 +348,11 @@ void Runtime::participate(int core, TaskRec* task) {
 
   if (width == 1) {
     // Width-1 fast path: this participant IS the assembly. No arrival or
-    // departure counters, no start-stamp CAS, no max-busy folding — the
-    // participant's busy time is both the PTT sample and the span, and two
-    // clock reads per task (inside run_work) replace the wide path's four.
+    // departure counters and no max-busy folding — the participant's busy
+    // time is the PTT sample.
     const std::int64_t busy = run_work(core, task, /*rank=*/0);
-    const double busy_s = ns_to_s(busy);
-    policy_->record_sample(node.type, task->place, busy_s);
-    stats_->record_task_at(node.priority, topo_->place_id(task->place), busy_s,
+    policy_->record_sample(node.type, task->place, ns_to_s(busy));
+    stats_->record_task_at(node.priority, topo_->place_id(task->place),
                            node.phase);
     finish_last(core, task);
     return;
@@ -361,11 +360,6 @@ void Runtime::participate(int core, TaskRec* task) {
 
   const int rank = task->arrivals.fetch_add(1, std::memory_order_acq_rel);
   DAS_ASSERT(rank >= 0 && rank < width);
-  // First arrival stamps the assembly start (CAS so any arrival order works).
-  std::int64_t expected = 0;
-  const std::int64_t arrive_ns = now_ns();
-  task->start_ns.compare_exchange_strong(expected, arrive_ns,
-                                         std::memory_order_acq_rel);
 
   const std::int64_t busy = run_work(core, task, rank);
   // Fold this participant's busy time into the assembly maximum (CAS loop:
@@ -384,12 +378,10 @@ void Runtime::participate(int core, TaskRec* task) {
   // step 8). The PTT learns the slowest participant's busy time — the
   // task's intrinsic duration at this place, what the paper's leader core
   // observes — not the assembly span, which arrival skew would poison.
-  const double span =
-      ns_to_s(now_ns() - task->start_ns.load(std::memory_order_acquire));
   policy_->record_sample(
       node.type, task->place,
       ns_to_s(task->max_busy_ns.load(std::memory_order_acquire)));
-  stats_->record_task_at(node.priority, topo_->place_id(task->place), span,
+  stats_->record_task_at(node.priority, topo_->place_id(task->place),
                          node.phase);
   finish_last(core, task);
 }

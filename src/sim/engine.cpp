@@ -702,7 +702,6 @@ void SimEngine::start_participation(Shard& sh, int core, const Participation& p,
                           "another is still running");
   Job& job = job_at(p.job);
   TaskState& ts = job.tasks[static_cast<std::size_t>(p.task)];
-  if (ts.arrivals == 0) ts.first_arrival = t;
   ts.arrivals++;
   const double cost =
       participation_cost(sh, job, p.task, core, p.rank_in_assembly, t);
@@ -864,10 +863,9 @@ void SimEngine::handle_done(Shard& sh, const Event& e, double t) {
     // places look slow for reasons that have nothing to do with the place.
     // Single-writer update: the engine's one thread steps the rank, so it
     // alone writes the rank's PTT.
-    const double span = t - ts.first_arrival;
     r.policy->record_sample_st(n.type, ts.place, ts.max_cost);
     const int place_id = r.topo->place_id(ts.place);
-    r.stats->record_task_at_st(n.priority, place_id, span, n.phase);
+    r.stats->record_task_at_st(n.priority, place_id, n.phase);
     ts.completion = t;
     if (shards_.size() == 1) {
       // Single-rank: the historical plain-field path, byte-for-byte.

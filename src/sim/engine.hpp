@@ -314,7 +314,6 @@ class SimEngine {
     /// participants always finish their busy window first, so completion
     /// stays exactly-once.
     int lost = 0;
-    double first_arrival = 0.0;
     double max_cost = 0.0;  ///< slowest participant's busy time
     double completion = -1.0;
     /// Registry row, resolved ONCE at make_ready: every participant of the

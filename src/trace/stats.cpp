@@ -33,25 +33,21 @@ std::size_t ExecutionStats::index(Priority p, int place_id, int phase) const {
          static_cast<std::size_t>(place_id);
 }
 
-void ExecutionStats::record_task(Priority priority, int place_id, double span_s) {
-  record_task_at(priority, place_id, span_s, phase_.load(std::memory_order_relaxed));
+void ExecutionStats::record_task(Priority priority, int place_id) {
+  record_task_at(priority, place_id, phase_.load(std::memory_order_relaxed));
 }
 
-void ExecutionStats::record_task_at(Priority priority, int place_id, double span_s,
+void ExecutionStats::record_task_at(Priority priority, int place_id,
                                     int phase) {
   const int ph = std::clamp(phase, 0, num_phases_ - 1);
   counts_[index(priority, place_id, ph)].fetch_add(1, std::memory_order_relaxed);
-  span_sum_ns_.fetch_add(s_to_ns(span_s), std::memory_order_relaxed);
 }
 
 void ExecutionStats::record_task_at_st(Priority priority, int place_id,
-                                       double span_s, int phase) {
+                                       int phase) {
   const int ph = std::clamp(phase, 0, num_phases_ - 1);
   std::atomic<std::int64_t>& c = counts_[index(priority, place_id, ph)];
   c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-  span_sum_ns_.store(
-      span_sum_ns_.load(std::memory_order_relaxed) + s_to_ns(span_s),
-      std::memory_order_relaxed);
 }
 
 void ExecutionStats::record_busy_st(int core, std::int64_t busy_ns) {
@@ -146,7 +142,6 @@ void ExecutionStats::reset() {
     busy_ns_[static_cast<std::size_t>(c)].value.store(0, std::memory_order_relaxed);
   for (std::size_t i = 0; i < counts_size_; ++i)
     counts_[i].store(0, std::memory_order_relaxed);
-  span_sum_ns_.store(0, std::memory_order_relaxed);
   elapsed_s_.store(0.0, std::memory_order_relaxed);
   phase_.store(0, std::memory_order_relaxed);
 }

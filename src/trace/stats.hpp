@@ -50,13 +50,13 @@ class ExecutionStats {
   void set_phase(int phase);
   int phase() const { return phase_.load(std::memory_order_relaxed); }
 
-  /// Records a completed task: its priority, where it ran, and its span.
-  /// Tagged with the current phase (see set_phase).
-  void record_task(Priority priority, int place_id, double span_s);
+  /// Records a completed task: its priority and where it ran. Tagged with
+  /// the current phase (see set_phase).
+  void record_task(Priority priority, int place_id);
   /// Same, with an explicit phase tag (clamped to the phase dimension);
   /// engines use this with DagNode::phase so concurrent workers recording
   /// tasks of different iterations never race on set_phase.
-  void record_task_at(Priority priority, int place_id, double span_s, int phase);
+  void record_task_at(Priority priority, int place_id, int phase);
   /// Adds kernel busy time to a core (emulated time for throttled cores).
   void record_busy(int core, std::int64_t busy_ns);
 
@@ -65,8 +65,7 @@ class ExecutionStats {
   /// discrete-event simulator) — a lock-prefixed fetch_add per simulated
   /// task is pure waste there. Concurrent readers still see consistent
   /// relaxed values.
-  void record_task_at_st(Priority priority, int place_id, double span_s,
-                         int phase);
+  void record_task_at_st(Priority priority, int place_id, int phase);
   void record_busy_st(int core, std::int64_t busy_ns);
 
   /// Engines set the experiment's elapsed (virtual or wall) seconds.
@@ -114,7 +113,6 @@ class ExecutionStats {
   // Dense grid [priority][phase][place] of counters.
   std::unique_ptr<std::atomic<std::int64_t>[]> counts_;
   std::size_t counts_size_ = 0;
-  std::atomic<std::int64_t> span_sum_ns_{0};
 };
 
 }  // namespace das

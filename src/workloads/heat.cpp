@@ -107,6 +107,8 @@ void HeatRank::advance() {
 
 Dag HeatRank::make_iteration_dag(int phase) {
   Dag dag;
+  dag.reserve(static_cast<std::size_t>(cfg_.tasks_per_rank) + 1,
+              static_cast<std::size_t>(cfg_.tasks_per_rank));
   TaskParams cp;
   cp.p0 = 2.0 * cols_ * sizeof(double);  // bytes moved by the exchange
   const NodeId comm_node = dag.add_node(
@@ -172,13 +174,28 @@ Dag make_heat_sim_dag(const HeatConfig& cfg, TaskTypeId heat_compute_type,
   const int R = cfg.ranks;
   const int T = cfg.tasks_per_rank;
   const int band = band_rows_of(cfg);
-  DAS_CHECK(band >= T);
+  DAS_CHECK(T >= 1 && band >= T);
   const double bytes = static_cast<double>(cfg.cols) * sizeof(double);
   const sim::NetworkModel net{cfg.net_latency_s, cfg.net_bw_gbs};
   const double wire_delay = net.delay(bytes);
   const double points_per_task = static_cast<double>(band) * cfg.cols / T;
 
   Dag dag;
+  // Per iteration: T compute tasks per rank plus an up and a down exchange
+  // per rank boundary. Edges: each boundary's two exchanges release the
+  // edge compute tasks every iteration; from the second iteration on, each
+  // exchange also waits on a local and a remote band, and each compute task
+  // on its (up to) three neighbours of the previous iteration.
+  const auto I = static_cast<std::size_t>(std::max(cfg.iterations, 0));
+  const auto ranks = static_cast<std::size_t>(R);
+  const auto tasks = static_cast<std::size_t>(T);
+  const std::size_t boundaries = ranks - 1;
+  const std::size_t stencil_edges = ranks * (3 * tasks - 2);
+  const std::size_t num_edges =
+      I == 0 ? 0
+             : I * 2 * boundaries +
+                   (I - 1) * (4 * boundaries + stencil_edges);
+  dag.reserve(I * (ranks * tasks + 2 * boundaries), num_edges);
   // Ids of the previous iteration's tasks, per rank.
   std::vector<std::vector<NodeId>> prev_compute(static_cast<std::size_t>(R));
   for (int i = 0; i < cfg.iterations; ++i) {
@@ -249,6 +266,7 @@ Dag make_heat_sim_dag(const HeatConfig& cfg, TaskTypeId heat_compute_type,
     }
     prev_compute = std::move(compute);
   }
+  DAS_ASSERT(dag.num_edges() == num_edges);
   dag.seal();  // builders hand out sealed (CSR-compacted) DAGs
   return dag;
 }

@@ -69,6 +69,8 @@ Dag build_iteration_dag(const KMeansConfig& cfg, int num_big,
                         const std::function<WorkFn(int)>& map_work,
                         WorkFn reduce_work) {
   Dag dag;
+  const auto chunks = static_cast<std::size_t>(cfg.chunks);
+  dag.reserve(chunks + 1, chunks);
   std::vector<NodeId> maps;
   maps.reserve(static_cast<std::size_t>(cfg.chunks));
   for (int c = 0; c < cfg.chunks; ++c) {

@@ -12,6 +12,10 @@ Dag make_synthetic_dag(const SyntheticDagSpec& spec) {
   const int layers = std::max(1, spec.total_tasks / spec.parallelism);
 
   Dag dag;
+  // Every layer but the first hangs off the previous layer's critical task.
+  const auto width = static_cast<std::size_t>(spec.parallelism);
+  dag.reserve(static_cast<std::size_t>(layers) * width,
+              static_cast<std::size_t>(layers - 1) * width);
   NodeId prev_critical = kInvalidNode;
   for (int layer = 0; layer < layers; ++layer) {
     NodeId critical = kInvalidNode;

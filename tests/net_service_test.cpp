@@ -123,6 +123,35 @@ TEST_F(NetServiceTest, MalformedDagPayloadThrows) {
   net::encode_dag(paper_dag(2, 10), ok);
   net::WireReader r2(ok.data(), ok.size() / 2);  // truncated
   EXPECT_THROW(net::decode_dag(r2), PreconditionError);
+
+  // Hostile counts: the decoder sizes its arrays from them, so a count the
+  // payload cannot back must fail with the documented error, not allocate.
+  const auto header = [](std::int32_t nodes, std::uint64_t edges) {
+    net::WireWriter h;
+    h.pod(std::uint32_t{0x44414731});  // "DAG1"
+    h.pod(std::uint16_t{1});
+    h.pod(nodes);
+    h.pod(edges);
+    return h;
+  };
+  for (const std::uint64_t edges :
+       {std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+    net::WireWriter h = header(1, edges);
+    ASSERT_EQ(h.size(), 18u);
+    net::WireReader rh(h.data(), h.size());
+    EXPECT_THROW(net::decode_dag(rh), PreconditionError) << edges << " edges";
+    // The same count behind a complete one-node body.
+    h.pod(TaskTypeId{0});
+    h.pod(std::uint8_t{0});
+    for (int i = 0; i < 3; ++i) h.pod(0.0);
+    for (int i = 0; i < 3; ++i) h.pod(std::int32_t{0});
+    h.pod(std::uint32_t{0});
+    net::WireReader rb(h.data(), h.size());
+    EXPECT_THROW(net::decode_dag(rb), PreconditionError) << edges << " edges";
+  }
+  net::WireWriter huge = header(2'000'000'000, 0);
+  net::WireReader r3(huge.data(), huge.size());
+  EXPECT_THROW(net::decode_dag(r3), PreconditionError);
 }
 
 TEST_F(NetServiceTest, RunResultWireRoundTrip) {

@@ -22,9 +22,9 @@ class StatsTest : public ::testing::Test {
 TEST_F(StatsTest, CountsByPriorityPlaceAndPhase) {
   const int p01 = topo_.place_id({0, 1});
   const int p24 = topo_.place_id({2, 4});
-  stats_.record_task_at(Priority::kHigh, p01, 0.1, 0);
-  stats_.record_task_at(Priority::kHigh, p01, 0.1, 1);
-  stats_.record_task_at(Priority::kLow, p24, 0.2, 1);
+  stats_.record_task_at(Priority::kHigh, p01, 0);
+  stats_.record_task_at(Priority::kHigh, p01, 1);
+  stats_.record_task_at(Priority::kLow, p24, 1);
   EXPECT_EQ(stats_.tasks_total(), 3);
   EXPECT_EQ(stats_.tasks_with_priority(Priority::kHigh), 2);
   EXPECT_EQ(stats_.tasks_at(Priority::kHigh, p01), 2);
@@ -36,10 +36,10 @@ TEST_F(StatsTest, CountsByPriorityPlaceAndPhase) {
 TEST_F(StatsTest, PhaseClampingAndSetPhase) {
   stats_.set_phase(2);
   EXPECT_EQ(stats_.phase(), 2);
-  stats_.record_task(Priority::kLow, 0, 0.0);
+  stats_.record_task(Priority::kLow, 0);
   EXPECT_EQ(stats_.tasks_at_phase(Priority::kLow, 0, 2), 1);
   // Out-of-range explicit phases clamp instead of crashing.
-  stats_.record_task_at(Priority::kLow, 0, 0.0, 99);
+  stats_.record_task_at(Priority::kLow, 0, 99);
   EXPECT_EQ(stats_.tasks_at_phase(Priority::kLow, 0, 2), 2);
   EXPECT_THROW(stats_.set_phase(3), PreconditionError);
 }
@@ -51,22 +51,22 @@ TEST_F(StatsTest, BusyTimeAndThroughput) {
   EXPECT_DOUBLE_EQ(stats_.busy_s(0), 2.0);
   EXPECT_DOUBLE_EQ(stats_.busy_s(5), 1.0);
   EXPECT_DOUBLE_EQ(stats_.total_busy_s(), 3.0);
-  stats_.record_task(Priority::kLow, 0, 0.1);
-  stats_.record_task(Priority::kLow, 0, 0.1);
+  stats_.record_task(Priority::kLow, 0);
+  stats_.record_task(Priority::kLow, 0);
   stats_.set_elapsed(4.0);
   EXPECT_DOUBLE_EQ(stats_.throughput(), 0.5);
 }
 
 TEST_F(StatsTest, ThroughputZeroWithoutElapsed) {
-  stats_.record_task(Priority::kLow, 0, 0.1);
+  stats_.record_task(Priority::kLow, 0);
   EXPECT_DOUBLE_EQ(stats_.throughput(), 0.0);
 }
 
 TEST_F(StatsTest, DistributionSortedAndNormalised) {
   const int p01 = topo_.place_id({0, 1});
   const int p11 = topo_.place_id({1, 1});
-  for (int i = 0; i < 3; ++i) stats_.record_task(Priority::kHigh, p01, 0.0);
-  stats_.record_task(Priority::kHigh, p11, 0.0);
+  for (int i = 0; i < 3; ++i) stats_.record_task(Priority::kHigh, p01);
+  stats_.record_task(Priority::kHigh, p11);
   const auto dist = stats_.distribution(Priority::kHigh);
   ASSERT_EQ(dist.size(), 2u);
   EXPECT_EQ(dist[0].first, (ExecutionPlace{0, 1}));
@@ -76,7 +76,7 @@ TEST_F(StatsTest, DistributionSortedAndNormalised) {
 }
 
 TEST_F(StatsTest, ResetClearsEverything) {
-  stats_.record_task(Priority::kHigh, 0, 1.0);
+  stats_.record_task(Priority::kHigh, 0);
   stats_.record_busy(2, 100);
   stats_.set_elapsed(1.0);
   stats_.reset();
@@ -91,7 +91,7 @@ TEST_F(StatsTest, ConcurrentRecordingIsLossless) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kIters; ++i) {
-        stats_.record_task(Priority::kLow, 0, 0.001);
+        stats_.record_task(Priority::kLow, 0);
         stats_.record_busy(1, 10);
       }
     });
@@ -102,7 +102,7 @@ TEST_F(StatsTest, ConcurrentRecordingIsLossless) {
 }
 
 TEST_F(StatsTest, ReportersRenderPlacesAndCores) {
-  stats_.record_task(Priority::kHigh, topo_.place_id({2, 4}), 0.0);
+  stats_.record_task(Priority::kHigh, topo_.place_id({2, 4}));
   stats_.record_busy(3, 2'000'000'000);
   std::ostringstream os;
   print_priority_distribution(stats_, os, "dist");
