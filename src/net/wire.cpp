@@ -74,8 +74,9 @@ Dag decode_dag(WireReader& r) {
   // add_node/add_edge would; edges may point at nodes not yet read, so they
   // are range-checked against n here rather than by add_edge.
   Dag dag;
+  dag.reserve(static_cast<std::size_t>(n),
+              static_cast<std::size_t>(declared_edges));
   dag.nodes_.resize(static_cast<std::size_t>(n));
-  dag.staged_.reserve(static_cast<std::size_t>(declared_edges));
   for (NodeId id = 0; id < n; ++id) {
     const std::byte* p = r.consume(kNodeBytes);
     DagNode& node = dag.nodes_[static_cast<std::size_t>(id)];

@@ -72,7 +72,7 @@ Dag build_iteration_dag(const KMeansConfig& cfg, int num_big,
   const auto chunks = static_cast<std::size_t>(cfg.chunks);
   dag.reserve(chunks + 1, chunks);
   std::vector<NodeId> maps;
-  maps.reserve(static_cast<std::size_t>(cfg.chunks));
+  maps.reserve(chunks);
   for (int c = 0; c < cfg.chunks; ++c) {
     const Priority prio = c < num_big ? Priority::kHigh : Priority::kLow;
     TaskParams params;
